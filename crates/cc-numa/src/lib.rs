@@ -21,7 +21,7 @@ use sim_core::cache::{Cache, CacheGeom, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::FxMap;
-use sim_core::{Addr, FlatMem, PlacementMap, Resource};
+use sim_core::{Addr, FlatMem, PlacementMap, Probe, Resource};
 
 /// Tunable parameters of the CC-NUMA platform (cycles at 300 MHz).
 #[derive(Clone, Debug)]
@@ -99,10 +99,6 @@ pub struct DsmPlatform {
     nodes: Vec<Node>,
     directory: FxMap<u64, DirEnt>,
     line_mask: u64,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
 }
 
 impl DsmPlatform {
@@ -123,8 +119,6 @@ impl DsmPlatform {
             nodes,
             directory: FxMap::default(),
             line_mask,
-            trace: None,
-            metrics: None,
         }
     }
 
@@ -205,28 +199,8 @@ impl DsmPlatform {
         if remote {
             t.stats.counters.remote_fetches += 1;
             t.stats.counters.bytes_transferred += self.cfg.l2.line;
-            sim_core::trace::emit(
-                &self.trace,
-                t.timing_on,
-                pid,
-                *t.now,
-                sim_core::EventKind::RemoteMiss { line, home },
-            );
-            sim_core::trace::sample_fetch(&self.trace, t.timing_on, pid, stall);
-            sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, line);
-            // Critical-path provenance: the caller charges `stall` from
-            // `now`, so the service interval is (now, now + stall]; the
-            // home directory stands in as the serving side.
-            sim_core::trace::emit_edge(
-                &self.trace,
-                t.timing_on,
-                sim_core::DepKind::RemoteMiss { line },
-                pid,
-                *t.now,
-                *t.now + stall,
-                home,
-                *t.now,
-            );
+            // The home directory stands in as the serving side.
+            t.probe.remote_miss(pid, line, home, *t.now, stall);
         }
         stall
     }
@@ -439,9 +413,9 @@ impl Platform for DsmPlatform {
         grant_at: u64,
         _stats: &mut ProcStats,
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> u64 {
-        if !timing_on {
+        if !probe.timing_on() {
             return grant_at;
         }
         grant_at + self.cfg.hop + self.cfg.lock_base / 2
@@ -473,10 +447,10 @@ impl Platform for DsmPlatform {
         arrivals: &[u64],
         _stats: &mut [ProcStats],
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Vec<u64> {
         let last = arrivals.iter().copied().max().unwrap_or(0);
-        if !timing_on {
+        if !probe.timing_on() {
             return arrivals.to_vec();
         }
         vec![last + self.cfg.barrier_latency; arrivals.len()]
@@ -486,14 +460,6 @@ impl Platform for DsmPlatform {
         for n in &mut self.nodes {
             n.dir.reset();
         }
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
     }
 }
 

@@ -27,8 +27,8 @@ use sim_core::cache::{Cache, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
-use sim_core::{Addr, PlacementMap, Resource};
-use svm_hlrc::{build_profile, Diff, PState, PageEntry, PageTrack, SvmConfig};
+use sim_core::{Addr, DiffCreated, PageFetch, PlacementMap, Probe, Resource};
+use svm_hlrc::{Diff, PState, PageEntry, SvmConfig};
 
 /// One archived diff: who wrote it and what changed.
 struct ArchivedDiff {
@@ -85,14 +85,6 @@ pub struct TmkPlatform {
     intervals: Vec<Vec<Interval>>,
     log_base: Vec<u32>,
     lock_vc: FxMap<u32, Vec<u32>>,
-    /// Per-page protocol activity (shared tracker with `svm-hlrc`).
-    activity: FxMap<u64, PageTrack>,
-    /// Gather word-granularity sharing footprints (never affects timing).
-    profiling: bool,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
 }
 
 impl TmkPlatform {
@@ -135,10 +127,6 @@ impl TmkPlatform {
             intervals: vec![Vec::new(); n],
             log_base: vec![0; n],
             lock_vc: FxMap::default(),
-            activity: FxMap::default(),
-            profiling: false,
-            trace: None,
-            metrics: None,
         }
     }
 
@@ -208,25 +196,9 @@ impl TmkPlatform {
         let base_wire = if had_copy { 0 } else { self.page_bytes() };
         let wire = base_wire
             + writers.len() as u64 * (suffix_runs * 8 + suffix_words * 4 + self.cfg.ctrl_msg_bytes);
-        let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_fetch(pid, wire, profiling, wpp);
         // No home in this protocol: report the round-robin base-copy source
         // the full-page transfer would come from.
         let src = (page % self.cfg.nprocs as u64) as usize;
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            pid,
-            t0,
-            sim_core::EventKind::PageFetchStart {
-                page: page << self.page_shift,
-                home: src,
-                bytes: wire,
-            },
-        );
         if t.timing_on {
             let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
             let mut done = *t.now;
@@ -268,39 +240,22 @@ impl TmkPlatform {
             }
             t.advance_to(Bucket::DataWait, done);
         }
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
+        let base = page << self.page_shift;
+        // The round-robin base source stands in as the serving side.
+        t.probe.page_fetch(PageFetch {
             pid,
-            *t.now,
-            sim_core::EventKind::PageFetchDone {
-                page: page << self.page_shift,
-                home: src,
-                bytes: wire,
-            },
-        );
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, pid, *t.now - t0);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, page << self.page_shift);
-        // Critical-path provenance: the fault stalled `pid` over (t0, now];
-        // the round-robin base source stands in as the serving side.
-        sim_core::trace::emit_edge(
-            &self.trace,
-            t.timing_on,
-            sim_core::DepKind::PageFetch {
-                page: page << self.page_shift,
-                bytes: wire,
-            },
-            pid,
+            node: pid,
+            page: base,
+            home: src,
+            server: src,
+            bytes: wire,
             t0,
-            *t.now,
-            src,
-            t0,
-        );
+            t1: *t.now,
+        });
         self.nodes[pid]
             .pages
             .insert(page, PageEntry::copy_of(&contents));
         self.nodes[pid].applied.insert(page, chain_len);
-        let base = page << self.page_shift;
         let len = self.page_bytes();
         self.nodes[pid].l1.invalidate_range(base, len);
         self.nodes[pid].l2.invalidate_range(base, len);
@@ -389,55 +344,27 @@ impl TmkPlatform {
                 + diff.len() as u64 * self.cfg.diff_scan_per_word;
             let diff_t0 = *t.now;
             t.charge(Bucket::HandlerCompute, scan);
-            // Critical-path provenance: the writer spent (diff_t0, now]
-            // creating and archiving this page's diff.
-            sim_core::trace::emit_edge(
-                &self.trace,
-                t.timing_on,
-                sim_core::DepKind::Diff {
-                    page: page << self.page_shift,
-                },
-                pid,
-                diff_t0,
-                *t.now,
-                pid,
-                diff_t0,
-            );
             t.stats.counters.diffs_created += 1;
             // Archival into the page chain *is* this protocol's diff
             // application — there is no home copy to patch — so the two
             // counters stay structurally equal.
             t.stats.counters.diffs_applied += 1;
+            // The writer spent (diff_t0, now] creating and archiving this
+            // page's diff. Wire cost 0: the chain is kept at the writer;
+            // bytes move at the faulting reader's gather, accounted in
+            // `fetch_page`.
             let pbase = page << self.page_shift;
-            sim_core::trace::emit(
-                &self.trace,
-                t.timing_on,
+            t.probe.diff_created(DiffCreated {
                 pid,
-                *t.now,
-                sim_core::EventKind::DiffCreated { page: pbase },
-            );
-            sim_core::trace::emit(
-                &self.trace,
-                t.timing_on,
-                pid,
-                *t.now,
-                sim_core::EventKind::DiffApplied { page: pbase },
-            );
-            let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-            // Wire cost 0: the chain is kept at the writer; bytes move at
-            // the faulting reader's gather, accounted in `fetch_page`.
-            self.activity
-                .entry(page)
-                .or_default()
-                .record_diff(pid, &diff, 0, profiling, wpp);
-            sim_core::metrics::page_diff(
-                &self.metrics,
-                t.timing_on,
-                *t.now,
-                page << self.page_shift,
-                pid as u16,
-                diff.words().map(|(w, _)| w),
-            );
+                node: pid,
+                page: pbase,
+                runs: diff.runs(),
+                bytes: 0,
+                at: *t.now,
+                t0: diff_t0,
+                t1: *t.now,
+            });
+            t.probe.diff_applied(pid, pbase, *t.now);
             // The writer's own copy reflects its diff.
             let chain_len = {
                 let log = self.log_entry(page);
@@ -453,7 +380,8 @@ impl TmkPlatform {
     }
 
     /// Invalidate a page at `g` on receipt of a write notice.
-    fn invalidate_page(&mut self, g: usize, page: u64, at: u64, timing_on: bool, acc: &mut Acc) {
+    fn invalidate_page(&mut self, g: usize, page: u64, at: u64, probe: &mut Probe, acc: &mut Acc) {
+        let base = page << self.page_shift;
         let state = self.nodes[g].pages.get(&page).map(|e| e.state);
         match state {
             None => return,
@@ -463,57 +391,29 @@ impl TmkPlatform {
                 entry.state = PState::ReadOnly;
                 let twin = entry.twin.take().expect("dirty page without twin");
                 let diff = Diff::create(&twin, &entry.frame);
-                if timing_on {
+                if probe.timing_on() {
                     acc.cycles += self.cfg.words_per_page() * self.cfg.diff_scan_per_word;
                 }
                 acc.archived += 1;
-                let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-                self.activity
-                    .entry(page)
-                    .or_default()
-                    .record_diff(g, &diff, 0, profiling, wpp);
-                sim_core::metrics::page_diff(
-                    &self.metrics,
-                    timing_on,
+                probe.diff_created(DiffCreated {
+                    pid: g,
+                    node: g,
+                    page: base,
+                    runs: diff.runs(),
+                    bytes: 0,
                     at,
-                    page << self.page_shift,
-                    g as u16,
-                    diff.words().map(|(w, _)| w),
-                );
+                    t0: at,
+                    t1: at,
+                });
+                probe.diff_applied(g, base, at);
                 let log = self.log_entry(page);
                 log.chain.push(ArchivedDiff { writer: g, diff });
-                let pbase = page << self.page_shift;
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    g,
-                    at,
-                    sim_core::EventKind::DiffCreated { page: pbase },
-                );
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    g,
-                    at,
-                    sim_core::EventKind::DiffApplied { page: pbase },
-                );
             }
             Some(PState::ReadOnly) => {}
         }
-        self.activity.entry(page).or_default().record_inval();
-        sim_core::metrics::page_inval(&self.metrics, timing_on, at, page << self.page_shift);
-        sim_core::trace::emit(
-            &self.trace,
-            timing_on,
-            g,
-            at,
-            sim_core::EventKind::Invalidation {
-                page: page << self.page_shift,
-            },
-        );
+        probe.inval(g, base, at);
         self.nodes[g].pages.remove(&page);
         self.nodes[g].applied.remove(&page);
-        let base = page << self.page_shift;
         let len = self.cfg.page_size;
         self.nodes[g].l1.invalidate_range(base, len);
         self.nodes[g].l2.invalidate_range(base, len);
@@ -521,7 +421,7 @@ impl TmkPlatform {
         acc.invals += 1;
     }
 
-    fn consume_notices(&mut self, g: usize, upto: &[u32], at: u64, timing_on: bool) -> Acc {
+    fn consume_notices(&mut self, g: usize, upto: &[u32], at: u64, probe: &mut Probe) -> Acc {
         let mut acc = Acc::default();
         for r in 0..self.cfg.nprocs {
             if r == g {
@@ -537,7 +437,7 @@ impl TmkPlatform {
                 let li = (idx - self.log_base[r]) as usize;
                 let pages: Vec<u64> = self.intervals[r][li].pages.clone();
                 for page in pages {
-                    self.invalidate_page(g, page, at, timing_on, &mut acc);
+                    self.invalidate_page(g, page, at, probe, &mut acc);
                 }
             }
             self.vc[g][r] = to;
@@ -755,17 +655,17 @@ impl Platform for TmkPlatform {
         grant_at: u64,
         stats: &mut ProcStats,
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> u64 {
         let upto = match self.lock_vc.get(&lock) {
             Some(v) => v.clone(),
             None => vec![0; self.cfg.nprocs],
         };
-        let acc = self.consume_notices(pid, &upto, grant_at, timing_on);
+        let acc = self.consume_notices(pid, &upto, grant_at, probe);
         stats.counters.invalidations += acc.invals;
         stats.counters.diffs_created += acc.archived;
         stats.counters.diffs_applied += acc.archived;
-        if !timing_on {
+        if !probe.timing_on() {
             return grant_at;
         }
         grant_at + self.cfg.wire_latency + self.cfg.handler_cost + acc.cycles
@@ -800,8 +700,9 @@ impl Platform for TmkPlatform {
         arrivals: &[u64],
         stats: &mut [ProcStats],
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Vec<u64> {
+        let timing_on = probe.timing_on();
         let n = self.cfg.nprocs;
         let mgr = self.cfg.barrier_manager(barrier);
         let vt = self.vt.clone();
@@ -816,7 +717,7 @@ impl Platform for TmkPlatform {
         let mut send_cursor = merge_end;
         let mut mgr_acc = Acc::default();
         for q in 0..n {
-            let acc = self.consume_notices(q, &vt, merge_end, timing_on);
+            let acc = self.consume_notices(q, &vt, merge_end, probe);
             stats[q].counters.invalidations += acc.invals;
             stats[q].counters.diffs_created += acc.archived;
             stats[q].counters.diffs_applied += acc.archived;
@@ -845,7 +746,6 @@ impl Platform for TmkPlatform {
     }
 
     fn reset_timing(&mut self) {
-        self.activity.clear();
         for node in &mut self.nodes {
             node.handler.reset();
             node.io_in.reset();
@@ -854,55 +754,8 @@ impl Platform for TmkPlatform {
         }
     }
 
-    fn profile(&self) -> Option<String> {
-        if self.activity.is_empty() {
-            return None;
-        }
-        let mut pages: Vec<(&u64, &PageTrack)> = self.activity.iter().collect();
-        pages.sort_by_key(|(p, a)| (std::cmp::Reverse(a.fetches), **p));
-        let mut s = String::from(
-            "TMK page profile (hottest pages by remote fetches):\n             page_base          fetches  diff_words   diff_runs  wire_bytes  invalidations\n",
-        );
-        let total: u64 = pages.iter().map(|(_, a)| a.fetches).sum();
-        for (page, a) in pages.iter().take(16) {
-            s.push_str(&format!(
-                "{:#014x} {:>10} {:>11} {:>11} {:>11} {:>14}\n",
-                **page << self.page_shift,
-                a.fetches,
-                a.diff_words,
-                a.diff_runs,
-                a.wire_bytes,
-                a.invalidations
-            ));
-        }
-        let top: u64 = pages.iter().take(16).map(|(_, a)| a.fetches).sum();
-        s.push_str(&format!(
-            "{} pages active; top 16 pages account for {:.0}% of {} fetches\n",
-            pages.len(),
-            100.0 * top as f64 / total.max(1) as f64,
-            total
-        ));
-        Some(s)
-    }
-
-    fn set_sharing_profile(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
-    }
-
-    fn sharing_profile(&self) -> Option<sim_core::sharing::SharingProfile> {
-        Some(build_profile(
-            &self.activity,
-            self.page_shift,
-            self.page_bytes(),
-        ))
+    fn page_bytes(&self) -> Option<u64> {
+        Some(self.cfg.page_size)
     }
 }
 

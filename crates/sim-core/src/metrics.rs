@@ -31,7 +31,6 @@
 //! `tests/metrics.rs`). All buffers are fixed-capacity and drop-counted.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 use crate::util::FxMap;
 
@@ -44,9 +43,6 @@ pub const DEFAULT_INTERVAL: u64 = 1 << 16;
 /// pages, locks, event names). Override with
 /// [`crate::RunConfig::with_metrics_cap`].
 pub const DEFAULT_SERIES_CAP: usize = 1 << 12;
-
-/// Handle through which the scheduler and platforms record samples.
-pub type MetricsHandle = Arc<Mutex<MetricsSink>>;
 
 /// One cumulative per-processor snapshot. Consecutive samples differenced
 /// give per-interval rates; keeping the raw cumulative values makes the
@@ -283,11 +279,8 @@ struct SinkProc {
     last_iv: u64,
 }
 
-/// Shared, mutable metrics state while a run is in flight: one instance per
-/// metrics-on run, shared between the scheduler and the platform via
-/// [`MetricsHandle`] (the mutex is uncontended — everything already runs
-/// under the global scheduler lock — and exists only to keep the handle
-/// `Send`, mirroring [`crate::trace::TraceSink`]).
+/// Mutable metrics state while a run is in flight: one instance per
+/// metrics-on run, held by the run's [`crate::probe::Probe`].
 pub struct MetricsSink {
     interval: u64,
     cap: usize,
@@ -605,49 +598,6 @@ impl MetricsSink {
             locks_dropped: self.locks_dropped,
             events,
             events_dropped: self.events_dropped,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gated helpers for platform code (mirror `crate::trace::emit`): no-ops
-// unless metrics are on *and* the timed region is active, and never charge
-// cycles.
-
-/// Record a completed remote page/line fetch (platform code).
-#[inline]
-pub fn page_fetch(m: &Option<MetricsHandle>, timing_on: bool, now: u64, page: u64) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_fetch(now, page);
-        }
-    }
-}
-
-/// Record a flushed diff with its word footprint (platform code). The
-/// iterator is only consumed when metrics are live.
-#[inline]
-pub fn page_diff(
-    m: &Option<MetricsHandle>,
-    timing_on: bool,
-    now: u64,
-    page: u64,
-    writer: u16,
-    words: impl IntoIterator<Item = u32>,
-) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_diff(now, page, writer, words);
-        }
-    }
-}
-
-/// Record an applied invalidation (platform code).
-#[inline]
-pub fn page_inval(m: &Option<MetricsHandle>, timing_on: bool, now: u64, page: u64) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_inval(now, page);
         }
     }
 }

@@ -8,6 +8,7 @@
 //! mutates its own coherence state.
 
 use crate::alloc::PlacementMap;
+use crate::probe::Probe;
 use crate::stats::{Bucket, ProcStats};
 use crate::Addr;
 
@@ -26,6 +27,9 @@ pub struct Timing<'a> {
     /// in the paper's serial-init discussion for Raytrace), but no cycles are
     /// charged and no resources are occupied.
     pub timing_on: bool,
+    /// The run's diagnostic probe: where the platform reports protocol
+    /// facts (page fetches, diffs, invalidations, remote misses).
+    pub probe: &'a mut Probe,
 }
 
 impl Timing<'_> {
@@ -141,7 +145,8 @@ pub trait Platform: Send {
     /// `pid` is granted `lock` at `grant_at` (already the max of lock
     /// availability and request arrival). Performs grant-side protocol work
     /// (e.g. HLRC consumes write notices and invalidates pages) and returns
-    /// the time at which the grantee resumes execution.
+    /// the time at which the grantee resumes execution. The probe also
+    /// tells whether the timed region is active.
     fn acquire_grant(
         &mut self,
         pid: usize,
@@ -149,7 +154,7 @@ pub trait Platform: Send {
         grant_at: u64,
         stats: &mut ProcStats,
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> u64;
 
     /// Processor `t.pid` releases `lock` (performing e.g. HLRC diff flushes).
@@ -171,7 +176,7 @@ pub trait Platform: Send {
         arrivals: &[u64],
         stats: &mut [ProcStats],
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Vec<u64>;
 
     /// Reset all resource clocks and protocol counters for the start of the
@@ -180,43 +185,10 @@ pub trait Platform: Send {
     /// the paper measures.
     fn reset_timing(&mut self);
 
-    /// Optional human-readable diagnostic report (e.g. the SVM platform's
-    /// per-page hot-spot profile — the performance-debugging facility the
-    /// paper wishes real SVM systems offered). `None` if the platform has
-    /// nothing to report.
-    fn profile(&self) -> Option<String> {
-        None
-    }
-
-    /// Enable or disable word-granularity sharing profiling for the run
-    /// (called once, before any simulated processor starts). Platforms with
-    /// nothing to profile ignore it. Profiling must never charge cycles:
-    /// statistics stay bit-identical either way.
-    fn set_sharing_profile(&mut self, _on: bool) {}
-
-    /// Install (or remove, with `None`) the shared event-trace sink for the
-    /// run. Called once before any simulated processor starts (and once
-    /// with `None` at the end of the run, so the scheduler regains sole
-    /// ownership of the sink). Platforms emit protocol events —
-    /// page fetches, diffs, invalidations, remote misses — through the
-    /// handle via [`crate::trace::emit`]; emission must never charge
-    /// cycles: statistics stay bit-identical either way.
-    fn set_trace(&mut self, _trace: Option<crate::trace::TraceHandle>) {}
-
-    /// Install (or remove, with `None`) the shared interval-metrics sink
-    /// for the run (see [`crate::metrics`]). Same contract as
-    /// [`Platform::set_trace`]: called once before any simulated processor
-    /// starts and once with `None` at the end of the run; platforms record
-    /// per-page protocol rates — fetches, diff words with writer
-    /// footprints, invalidations — through the handle via the
-    /// [`crate::metrics`] helpers, and recording must never charge cycles:
-    /// statistics stay bit-identical either way.
-    fn set_metrics(&mut self, _metrics: Option<crate::metrics::MetricsHandle>) {}
-
-    /// The per-page sharing profile gathered since the last
-    /// [`Platform::reset_timing`], if this platform produces one. Labels are
-    /// attributed by the scheduler (the platform does not see the allocator).
-    fn sharing_profile(&self) -> Option<crate::sharing::SharingProfile> {
+    /// The protocol page size in bytes of a page-grained (software)
+    /// coherence platform — the unit of its page facts in the sharing
+    /// profile. `None` (the default) for line-grained hardware.
+    fn page_bytes(&self) -> Option<u64> {
         None
     }
 
@@ -294,7 +266,7 @@ impl Platform for NullPlatform {
         grant_at: u64,
         _stats: &mut ProcStats,
         _placement: &mut PlacementMap,
-        _timing_on: bool,
+        _probe: &mut Probe,
     ) -> u64 {
         grant_at
     }
@@ -314,7 +286,7 @@ impl Platform for NullPlatform {
         arrivals: &[u64],
         _stats: &mut [ProcStats],
         _placement: &mut PlacementMap,
-        _timing_on: bool,
+        _probe: &mut Probe,
     ) -> Vec<u64> {
         let t = arrivals.iter().copied().max().unwrap_or(0);
         vec![t; arrivals.len()]
@@ -333,6 +305,7 @@ mod tests {
         let mut now = 0u64;
         let mut stats = ProcStats::default();
         let mut alloc = GlobalAlloc::new(2);
+        let mut probe = Probe::new(None, None, None);
         {
             let mut t = Timing {
                 pid: 0,
@@ -340,6 +313,7 @@ mod tests {
                 stats: &mut stats,
                 placement: alloc.map(),
                 timing_on: false,
+                probe: &mut probe,
             };
             t.charge(Bucket::Compute, 100);
         }
@@ -352,6 +326,7 @@ mod tests {
                 stats: &mut stats,
                 placement: alloc.map(),
                 timing_on: true,
+                probe: &mut probe,
             };
             t.charge(Bucket::Compute, 100);
             t.advance_to(Bucket::DataWait, 150);
@@ -368,12 +343,14 @@ mod tests {
         let mut now = 0u64;
         let mut stats = ProcStats::default();
         let mut alloc = GlobalAlloc::new(2);
+        let mut probe = Probe::new(None, None, None);
         let mut t = Timing {
             pid: 0,
             now: &mut now,
             stats: &mut stats,
             placement: alloc.map(),
             timing_on: true,
+            probe: &mut probe,
         };
         p.store(&mut t, crate::addr::HEAP_BASE, 8, 0xdead_beef);
         assert_eq!(p.load(&mut t, crate::addr::HEAP_BASE, 8), 0xdead_beef);

@@ -20,9 +20,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::alloc::{GlobalAlloc, Placement};
 use crate::detector::RaceDetector;
+use crate::metrics::MetricsSink;
 use crate::platform::{Platform, Timing};
+use crate::probe::Probe;
 use crate::shard::{Desc, Reply};
+use crate::sharing::SharingTracker;
 use crate::stats::{Bucket, ProcStats, RunStats};
+use crate::trace::TraceSink;
 use crate::util::FxMap;
 use crate::Addr;
 
@@ -366,7 +370,6 @@ pub(crate) struct Inner {
     barriers: FxMap<u32, BarSt>,
     start_arrivals: usize,
     stop_arrivals: usize,
-    timing_on: bool,
     pub(crate) quantum: u64,
     pub(crate) ndone: usize,
     poisoned: Option<String>,
@@ -381,13 +384,9 @@ pub(crate) struct Inner {
     /// Present iff `RunConfig::detect_races`: the happens-before analysis
     /// fed by every load/store and synchronization event below.
     detector: Option<RaceDetector>,
-    /// Present iff `RunConfig::trace`: the event sink shared with the
-    /// platform (which holds a clone of the handle for protocol events).
-    trace: Option<crate::trace::TraceHandle>,
-    /// Present iff `RunConfig::metrics > 0`: the interval metrics sink
-    /// shared with the platform (which holds a clone of the handle for
-    /// per-page protocol activity).
-    metrics: Option<crate::metrics::MetricsHandle>,
+    /// The run's diagnostic sinks and the timed-region flag; lent to the
+    /// platform with every priced event.
+    probe: Probe,
 }
 
 struct Shared {
@@ -452,92 +451,28 @@ impl Inner {
         }
     }
 
-    /// Emit a trace event for `pid` at virtual time `ts`. No-op unless the
-    /// run is traced *and* the timed region is active; never touches clocks
-    /// or statistics (tracing is invisible).
+    /// Run one platform pricing call for `pid` with its charging context.
     #[inline]
-    fn emit(&self, pid: usize, ts: u64, kind: crate::trace::EventKind) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().push(pid, ts, kind);
-            }
-        }
-    }
-
-    /// Record a dependency edge (same gating as `emit`; zero-length edges
-    /// are skipped by the sink). Never touches clocks or statistics.
-    #[inline]
-    fn emit_edge(
-        &self,
-        kind: crate::trace::DepKind,
-        dst: usize,
-        t0: u64,
-        t1: u64,
-        src: usize,
-        src_ts: u64,
-    ) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().push_edge(kind, dst, t0, t1, src, src_ts);
-            }
-        }
-    }
-
-    /// Record a lock-acquire wait sample for `pid` (same gating as `emit`).
-    #[inline]
-    fn sample_lock(&self, pid: usize, cycles: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().sample_lock(pid, cycles);
-            }
-        }
-    }
-
-    /// Record a barrier-wait sample for `pid` (same gating as `emit`).
-    #[inline]
-    fn sample_barrier(&self, pid: usize, cycles: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().sample_barrier(pid, cycles);
-            }
-        }
-    }
-
-    /// Offer the metrics sink a cumulative per-proc counter snapshot at
-    /// `pid`'s current clock. `forced` samples (phase/barrier/timing
-    /// boundaries) are always kept; unforced ticks are kept only when the
-    /// clock has rolled into a new interval, so the sink stays O(intervals),
-    /// not O(operations). Same gating as `emit`: no-op unless the run
-    /// records metrics and the timed region is active; never touches clocks
-    /// or statistics (metrics are invisible).
-    #[inline]
-    fn metrics_push(&self, pid: usize, forced: bool) {
-        if !self.timing_on {
-            return;
-        }
-        let Some(h) = &self.metrics else { return };
-        let s = &self.stats[pid];
-        let snap = crate::metrics::ProcSample {
-            interval: 0, // overwritten by the sink from `ts`
-            ts: self.clocks[pid],
-            compute: s.get(Bucket::Compute),
-            data_wait: s.get(Bucket::DataWait),
-            lock_wait: s.get(Bucket::LockWait),
-            barrier_wait: s.get(Bucket::BarrierWait),
-            remote_fetches: s.counters.remote_fetches,
+    fn with_timing<R>(
+        &mut self,
+        pid: usize,
+        f: impl FnOnce(&mut dyn Platform, &mut Timing) -> R,
+    ) -> R {
+        let mut t = Timing {
+            pid,
+            now: &mut self.clocks[pid],
+            stats: &mut self.stats[pid],
+            placement: self.alloc.map(),
+            timing_on: self.probe.timing_on(),
+            probe: &mut self.probe,
         };
-        h.lock().unwrap().sample_proc(pid, snap, forced);
+        f(&mut *self.platform, &mut t)
     }
 
-    /// Record a lock handoff (ownership transferred between processors) at
-    /// virtual time `now`. Same gating as `emit`.
+    /// Offer the metrics a snapshot of `pid`'s statistics at its clock.
     #[inline]
-    fn metrics_lock_handoff(&self, now: u64, lock: u32) {
-        if self.timing_on {
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().lock_handoff(now, lock);
-            }
-        }
+    fn sample(&mut self, pid: usize, forced: bool) {
+        self.probe.sample(pid, &self.clocks, &self.stats, forced);
     }
 
     /// Count `n` occurrences of the named application-level event for `pid`
@@ -545,11 +480,7 @@ impl Inner {
     /// touches no clocks, statistics or statuses, so it is invisible to the
     /// simulation and identical across engines.
     pub(crate) fn op_metric_event(&mut self, pid: usize, name: &'static str, n: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().event(name, pid, self.clocks[pid], n);
-            }
-        }
+        self.probe.app_event(name, pid, self.clocks[pid], n);
     }
 
     pub(crate) fn describe(&self) -> String {
@@ -571,13 +502,13 @@ impl Inner {
     // returned `Step`, while the fused event loop ([`crate::fused`]) owns
     // the `Inner` outright and just switches state machines. One
     // implementation of the transitions — clock advance, FCFS lock
-    // queues, barrier membership, resource pricing, detector/trace/
-    // sharing hooks — is what makes the engines bit-identical by
+    // queues, barrier membership, resource pricing, detector and probe
+    // calls — is what makes the engines bit-identical by
     // construction rather than by careful duplication.
 
     /// Charge `cycles` of application compute time to `pid`.
     pub(crate) fn op_work(&mut self, pid: usize, cycles: u64) -> Step {
-        if !self.timing_on {
+        if !self.probe.timing_on() {
             // Clocks stay mutually equal while timing is off (nothing
             // advances them), so `maybe_yield` could never fire — skip its
             // ready-heap probe entirely.
@@ -585,7 +516,7 @@ impl Inner {
         }
         self.clocks[pid] += cycles;
         self.stats[pid].add(Bucket::Compute, cycles);
-        self.metrics_push(pid, false);
+        self.sample(pid, false);
         Step::MaybeYield
     }
 
@@ -598,7 +529,7 @@ impl Inner {
         per_elem: u64,
         left: u64,
     ) -> Option<u64> {
-        if !self.timing_on {
+        if !self.probe.timing_on() {
             return None; // as in `op_work`: nothing to charge, nothing can yield
         }
         let budget = self.yield_budget();
@@ -617,7 +548,7 @@ impl Inner {
         };
         self.clocks[pid] += k * per_elem;
         self.stats[pid].add(Bucket::Compute, k * per_elem);
-        self.metrics_push(pid, false);
+        self.sample(pid, false);
         Some(k)
     }
 
@@ -630,9 +561,11 @@ impl Inner {
             let new = self.stats[pid].phase(); // saturated when out of range
             if new != old {
                 let ts = self.clocks[pid];
-                self.emit(pid, ts, crate::trace::EventKind::PhaseEnd { phase: old });
-                self.emit(pid, ts, crate::trace::EventKind::PhaseBegin { phase: new });
-                self.metrics_push(pid, true);
+                self.probe
+                    .event(pid, ts, crate::trace::EventKind::PhaseEnd { phase: old });
+                self.probe
+                    .event(pid, ts, crate::trace::EventKind::PhaseBegin { phase: new });
+                self.sample(pid, true);
             }
         }
     }
@@ -652,17 +585,8 @@ impl Inner {
 
     /// Perform one load for `pid`.
     pub(crate) fn op_load(&mut self, pid: usize, addr: Addr, len: u8) -> u64 {
-        let v = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.load(&mut t, addr, len)
-        };
-        self.metrics_push(pid, false);
+        let v = self.with_timing(pid, |pf, t| pf.load(t, addr, len));
+        self.sample(pid, false);
         if let Some(d) = self.detector.as_mut() {
             d.on_read(pid, addr, len, &self.alloc);
         }
@@ -671,17 +595,8 @@ impl Inner {
 
     /// Perform one store for `pid`.
     pub(crate) fn op_store(&mut self, pid: usize, addr: Addr, len: u8, val: u64) {
-        {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.store(&mut t, addr, len, val);
-        }
-        self.metrics_push(pid, false);
+        self.with_timing(pid, |pf, t| pf.store(t, addr, len, val));
+        self.sample(pid, false);
         if let Some(d) = self.detector.as_mut() {
             d.on_write(pid, addr, len, &self.alloc);
         }
@@ -700,19 +615,9 @@ impl Inner {
         out: &mut [u64],
     ) -> usize {
         let budget = self.yield_budget();
-        let k = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform
-                .load_bulk(&mut t, base, stride, len, out, budget)
-        };
+        let k = self.with_timing(pid, |pf, t| pf.load_bulk(t, base, stride, len, out, budget));
         debug_assert!(k >= 1, "load_bulk must perform at least one word");
-        self.metrics_push(pid, false);
+        self.sample(pid, false);
         if let Some(d) = self.detector.as_mut() {
             d.on_read_run(pid, base, stride, len, k, &self.alloc);
         }
@@ -730,19 +635,11 @@ impl Inner {
         vals: &[u64],
     ) -> usize {
         let budget = self.yield_budget();
-        let k = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform
-                .store_bulk(&mut t, base, stride, len, vals, budget)
-        };
+        let k = self.with_timing(pid, |pf, t| {
+            pf.store_bulk(t, base, stride, len, vals, budget)
+        });
         debug_assert!(k >= 1, "store_bulk must perform at least one word");
-        self.metrics_push(pid, false);
+        self.sample(pid, false);
         if let Some(d) = self.detector.as_mut() {
             d.on_write_run(pid, base, stride, len, k, &self.alloc);
         }
@@ -753,37 +650,27 @@ impl Inner {
     /// protocol and availability stalls) or join the FCFS wait queue.
     pub(crate) fn op_lock(&mut self, pid: usize, id: u32) -> Step {
         self.stats[pid].counters.lock_acquires += 1;
-        self.emit(
+        self.probe.event(
             pid,
             self.clocks[pid],
             crate::trace::EventKind::LockAcquireStart { lock: id as u64 },
         );
-        let arrival = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.acquire_request(&mut t, id)
-        };
+        let arrival = self.with_timing(pid, |pf, t| pf.acquire_request(t, id));
         let lk = self.locks.entry(id).or_default();
         if lk.held_by.is_none() && lk.waiters.is_empty() {
             lk.held_by = Some(pid);
             let grant_at = lk.avail_at.max(arrival);
             let last_release = lk.last_release;
-            let timing_on = self.timing_on;
             let resume = self.platform.acquire_grant(
                 pid,
                 id,
                 grant_at,
                 &mut self.stats[pid],
                 self.alloc.map(),
-                timing_on,
+                &mut self.probe,
             );
             let mut waited = 0;
-            if self.timing_on && resume > self.clocks[pid] {
+            if self.probe.timing_on() && resume > self.clocks[pid] {
                 let d = resume - self.clocks[pid];
                 let t0 = self.clocks[pid];
                 self.stats[pid].add(Bucket::LockWait, d);
@@ -794,7 +681,7 @@ impl Inner {
                 // `avail_at`): a handoff edge from the last releaser if one
                 // exists, else intrinsic to this processor.
                 let (src, src_ts) = last_release.unwrap_or((pid, t0));
-                self.emit_edge(
+                self.probe.edge(
                     crate::trace::DepKind::LockHandoff { lock: id as u64 },
                     pid,
                     t0,
@@ -805,16 +692,16 @@ impl Inner {
                 // Ownership moved between processors iff the stall was paid
                 // to a *different* last releaser.
                 if src != pid {
-                    self.metrics_lock_handoff(resume, id);
+                    self.probe.lock_handoff(resume, id);
                 }
             }
-            self.emit(
+            self.probe.event(
                 pid,
                 self.clocks[pid],
                 crate::trace::EventKind::LockAcquireGranted { lock: id as u64 },
             );
-            self.sample_lock(pid, waited);
-            self.metrics_push(pid, false);
+            self.probe.lock_wait(pid, waited);
+            self.sample(pid, false);
             if let Some(det) = self.detector.as_mut() {
                 det.on_acquire(pid, id);
             }
@@ -830,17 +717,8 @@ impl Inner {
     /// `pid` releases lock `id`, granting it to the earliest-arrived
     /// waiter (if any), who becomes runnable at its resume time.
     pub(crate) fn op_unlock(&mut self, pid: usize, id: u32) -> Step {
-        let avail = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.release(&mut t, id)
-        };
-        self.emit(
+        let avail = self.with_timing(pid, |pf, t| pf.release(t, id));
+        self.probe.event(
             pid,
             self.clocks[pid],
             crate::trace::EventKind::LockRelease { lock: id as u64 },
@@ -869,28 +747,27 @@ impl Inner {
             let w = lk.waiters.swap_remove(best);
             lk.held_by = Some(w.pid);
             let grant_at = avail.max(w.arrival);
-            let timing_on = self.timing_on;
             let resume = self.platform.acquire_grant(
                 w.pid,
                 id,
                 grant_at,
                 &mut self.stats[w.pid],
                 self.alloc.map(),
-                timing_on,
+                &mut self.probe,
             );
             let resume = resume.max(self.blocked_at[w.pid]);
-            if self.timing_on {
+            if self.probe.timing_on() {
                 let waited = resume - self.blocked_at[w.pid];
                 self.stats[w.pid].add(Bucket::LockWait, waited);
-                self.emit(
+                self.probe.event(
                     w.pid,
                     resume,
                     crate::trace::EventKind::LockAcquireGranted { lock: id as u64 },
                 );
-                self.sample_lock(w.pid, waited);
+                self.probe.lock_wait(w.pid, waited);
                 // Handoff provenance: the waiter's resume was enabled by
                 // this release at `release_ts` on the releaser's timeline.
-                self.emit_edge(
+                self.probe.edge(
                     crate::trace::DepKind::LockHandoff { lock: id as u64 },
                     w.pid,
                     self.blocked_at[w.pid],
@@ -900,16 +777,16 @@ impl Inner {
                 );
                 // A waiter grant is always an ownership transfer from the
                 // releasing processor.
-                self.metrics_lock_handoff(resume, id);
+                self.probe.lock_handoff(resume, id);
             }
             self.clocks[w.pid] = resume;
-            self.metrics_push(w.pid, false);
+            self.sample(w.pid, false);
             self.make_ready(w.pid);
             if let Some(det) = self.detector.as_mut() {
                 det.on_acquire(w.pid, id);
             }
         }
-        self.metrics_push(pid, false);
+        self.sample(pid, false);
         Step::MaybeYield
     }
 
@@ -918,18 +795,9 @@ impl Inner {
     pub(crate) fn op_barrier(&mut self, pid: usize, id: u32) -> Step {
         let nprocs = self.status.len();
         self.stats[pid].counters.barriers += 1;
-        let t_arr = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.barrier_arrive(&mut t, id)
-        };
+        let t_arr = self.with_timing(pid, |pf, t| pf.barrier_arrive(t, id));
         self.blocked_at[pid] = self.clocks[pid];
-        self.emit(
+        self.probe.event(
             pid,
             self.clocks[pid],
             crate::trace::EventKind::BarrierEnter { barrier: id as u64 },
@@ -942,13 +810,12 @@ impl Inner {
                 arr[p] = a;
             }
             bar.arrivals.clear();
-            let timing_on = self.timing_on;
             let resumes = self.platform.barrier_release(
                 id,
                 &arr,
                 &mut self.stats,
                 self.alloc.map(),
-                timing_on,
+                &mut self.probe,
             );
             debug_assert_eq!(resumes.len(), nprocs);
             // The last arriver (earliest pid on ties) gates every exit: it
@@ -962,16 +829,16 @@ impl Inner {
             let last_ts = self.blocked_at[last];
             for q in 0..nprocs {
                 let resume = resumes[q].max(self.blocked_at[q]);
-                if self.timing_on {
+                if self.probe.timing_on() {
                     let waited = resume - self.blocked_at[q];
                     self.stats[q].add(Bucket::BarrierWait, waited);
-                    self.emit(
+                    self.probe.event(
                         q,
                         resume,
                         crate::trace::EventKind::BarrierExit { barrier: id as u64 },
                     );
-                    self.sample_barrier(q, waited);
-                    self.emit_edge(
+                    self.probe.barrier_wait(q, waited);
+                    self.probe.edge(
                         crate::trace::DepKind::BarrierRelease { barrier: id as u64 },
                         q,
                         self.blocked_at[q],
@@ -981,7 +848,7 @@ impl Inner {
                     );
                 }
                 self.clocks[q] = resume;
-                self.metrics_push(q, true);
+                self.sample(q, true);
                 if q != pid {
                     debug_assert_eq!(self.status[q], Status::Blocked);
                     self.make_ready(q);
@@ -1005,7 +872,7 @@ impl Inner {
         if self.start_arrivals == nprocs {
             self.start_arrivals = 0;
             self.platform.reset_timing();
-            self.timing_on = true;
+            self.probe.start_timing();
             for q in 0..nprocs {
                 self.clocks[q] = 0;
                 self.blocked_at[q] = 0;
@@ -1014,22 +881,13 @@ impl Inner {
                     self.make_ready(q);
                 }
             }
-            // Restart the trace so it covers exactly the timed region, and
-            // open each processor's current phase at virtual time zero.
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().reset();
-                for q in 0..nprocs {
-                    let phase = self.stats[q].phase();
-                    self.emit(q, 0, crate::trace::EventKind::PhaseBegin { phase });
-                }
-            }
-            // Restart the metrics series likewise, anchoring every
-            // processor with a zero sample at virtual time zero.
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().reset();
-                for q in 0..nprocs {
-                    self.metrics_push(q, true);
-                }
+            // Open each processor's current phase at virtual time zero,
+            // and anchor its metrics series with a zero sample there.
+            for q in 0..nprocs {
+                let phase = self.stats[q].phase();
+                self.probe
+                    .event(q, 0, crate::trace::EventKind::PhaseBegin { phase });
+                self.sample(q, true);
             }
             if let Some(det) = self.detector.as_mut() {
                 det.on_barrier();
@@ -1060,9 +918,9 @@ impl Inner {
                 }
             }
             for q in 0..nprocs {
-                if self.timing_on {
+                if self.probe.timing_on() {
                     let d = max - self.clocks[q];
-                    self.emit_edge(
+                    self.probe.edge(
                         crate::trace::DepKind::Settle,
                         q,
                         self.clocks[q],
@@ -1075,16 +933,17 @@ impl Inner {
                     // Close each processor's open phase at the settle point
                     // so phase spans cover the whole timed region.
                     let phase = self.stats[q].phase();
-                    self.emit(q, max, crate::trace::EventKind::PhaseEnd { phase });
+                    self.probe
+                        .event(q, max, crate::trace::EventKind::PhaseEnd { phase });
                     // Final sample at the settle point so every series ends
                     // with the run totals.
-                    self.metrics_push(q, true);
+                    self.sample(q, true);
                 }
                 if q != pid && self.status[q] == Status::Blocked {
                     self.make_ready(q);
                 }
             }
-            self.timing_on = false;
+            self.probe.stop_timing();
             if let Some(det) = self.detector.as_mut() {
                 det.on_barrier();
             }
@@ -1530,7 +1389,7 @@ impl Proc {
             // The generation-side mirror: exact, because timing only
             // toggles at all-processor rendezvous this thread round-trips.
             Backend::Gen(ctx) => ctx.timing,
-            Backend::Classic(_) => self.shared().lock().timing_on,
+            Backend::Classic(_) => self.shared().lock().probe.timing_on(),
         }
     }
 
@@ -1658,33 +1517,20 @@ pub fn run<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
-    run_profiled(platform, cfg, body).0
-}
-
-/// Like [`run`], but also returns the platform's diagnostic report (see
-/// [`Platform::profile`]) gathered at the end of the run.
-pub fn run_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
-where
-    F: Fn(&mut Proc) + Sync,
-{
     // The sharded engine requires the platform to certify (via the
     // min-cross-node-latency hook) that all cross-processor interactions
     // are mediated by replayed protocol actions; platforms that do not
     // fall back to the classic engine.
     if cfg.shards > 1 && platform.min_cross_node_latency().is_some() {
-        run_sharded_profiled(platform, cfg, body)
+        run_sharded(platform, cfg, body)
     } else {
-        run_classic_profiled(platform, cfg, body)
+        run_classic(platform, cfg, body)
     }
 }
 
 /// Build the scheduler state both engines drive: processor 0 running,
 /// everyone else ready at clock zero (and already in the ready heap).
-pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> Inner {
+pub(crate) fn build_inner(platform: Box<dyn Platform>, cfg: &RunConfig) -> Inner {
     let nprocs = cfg.nprocs;
     assert_eq!(
         platform.nprocs(),
@@ -1692,23 +1538,13 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         "platform and RunConfig disagree on processor count"
     );
     assert!(nprocs >= 1);
-    platform.set_sharing_profile(cfg.sharing_profile);
-    let trace_handle = cfg.trace.then(|| {
-        Arc::new(Mutex::new(crate::trace::TraceSink::new(
-            nprocs,
-            cfg.trace_cap,
-            cfg.edge_cap,
-        )))
-    });
-    platform.set_trace(trace_handle.clone());
-    let metrics_handle = (cfg.metrics > 0).then(|| {
-        Arc::new(Mutex::new(crate::metrics::MetricsSink::new(
-            nprocs,
-            cfg.metrics,
-            cfg.metrics_cap,
-        )))
-    });
-    platform.set_metrics(metrics_handle.clone());
+    let probe = Probe::new(
+        cfg.trace
+            .then(|| TraceSink::new(nprocs, cfg.trace_cap, cfg.edge_cap)),
+        (cfg.metrics > 0).then(|| MetricsSink::new(nprocs, cfg.metrics, cfg.metrics_cap)),
+        cfg.sharing_profile
+            .then(|| SharingTracker::new(platform.page_bytes().unwrap_or(0))),
+    );
     Inner {
         platform,
         alloc: GlobalAlloc::new(nprocs),
@@ -1725,84 +1561,47 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         barriers: FxMap::default(),
         start_arrivals: 0,
         stop_arrivals: 0,
-        timing_on: false,
         quantum: cfg.quantum,
         ndone: 0,
         poisoned: None,
         detector: cfg
             .detect_races
             .then(|| RaceDetector::new(nprocs, cfg.label.clone())),
-        trace: trace_handle,
-        metrics: metrics_handle,
+        probe,
     }
 }
 
-/// Harvest a completed run's `Inner` into `RunStats` + platform profile:
-/// platform finalization, sharing-profile labelling, race reports, and
-/// trace extraction. Shared by both engines.
-pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> (RunStats, Option<String>) {
+/// Harvest a completed run's `Inner` into `RunStats`: platform
+/// finalization, race reports, and the frozen diagnostics. Shared by both
+/// engines.
+pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
     inner.platform.finalize(&mut inner.stats);
-    let profile = inner.platform.profile();
-    let sharing = cfg.sharing_profile.then(|| {
-        let mut prof = inner.platform.sharing_profile().unwrap_or_default();
-        for p in &mut prof.pages {
-            p.label = inner.alloc.label_of(p.page_base);
-        }
-        prof
-    });
     let races = inner
         .detector
         .map(RaceDetector::into_reports)
         .unwrap_or_default();
-    // Drop the platform's clone of the trace handle so the sink can be
-    // unwrapped and frozen into the RunStats.
-    inner.platform.set_trace(None);
-    let trace = inner.trace.take().map(|h| {
-        let Ok(sink) = Arc::try_unwrap(h) else {
-            panic!("platform released its trace handle")
-        };
-        sink.into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_trace(
-                cfg.label.clone(),
-                cfg.phase_names.clone(),
-                &inner.clocks,
-                inner.alloc.labeled_spans(),
-            )
-    });
-    // Same unwrap-and-freeze dance for the metrics sink.
-    inner.platform.set_metrics(None);
     let alloc = &inner.alloc;
-    let metrics = inner.metrics.take().map(|h| {
-        let Ok(sink) = Arc::try_unwrap(h) else {
-            panic!("platform released its metrics handle")
-        };
-        sink.into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_report(|addr| alloc.label_of(addr))
-    });
-    (
-        RunStats {
-            procs: inner.stats,
-            clocks: inner.clocks,
-            races,
-            sharing,
-            trace,
-            metrics,
-            phase_names: cfg.phase_names.clone(),
-        },
-        profile,
-    )
+    let (sharing, trace, metrics) =
+        inner
+            .probe
+            .finish(cfg, &inner.clocks, alloc.labeled_spans(), |addr| {
+                alloc.label_of(addr)
+            });
+    RunStats {
+        procs: inner.stats,
+        clocks: inner.clocks,
+        races,
+        sharing,
+        trace,
+        metrics,
+        phase_names: cfg.phase_names.clone(),
+    }
 }
 
 /// The classic engine: one OS thread per simulated processor, exactly one
 /// running at a time, every simulated event priced inline. Both the
 /// `shards = 1` oracle and the replay half of the sharded engine.
-fn run_classic_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
+fn run_classic<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
@@ -1893,11 +1692,7 @@ where
 /// bit-identical to `shards = 1` for data-race-free programs — see
 /// [`crate::shard`] for the full argument and `tests/shard_equivalence.rs`
 /// for the proof harness.
-fn run_sharded_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
+fn run_sharded<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
@@ -2004,7 +1799,7 @@ where
             }))
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_classic_profiled(platform, cfg, move |p: &mut Proc| {
+                run_classic(platform, cfg, move |p: &mut Proc| {
                     let (rx, reply_tx) = slots[p.pid()]
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)

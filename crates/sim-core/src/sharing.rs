@@ -11,11 +11,16 @@
 //! sharing (the race detector proves it is not a race; here it is surfaced
 //! as cost, not error).
 //!
-//! Profiles are produced by the page-based platforms (`svm-hlrc`, `lrc-tmk`)
-//! when a run is configured with
+//! When a run is configured with
 //! [`RunConfig::with_sharing_profile`](crate::RunConfig::with_sharing_profile),
-//! and attached to [`RunStats::sharing`](crate::RunStats). The profiler never
-//! charges cycles: statistics are bit-identical with it on or off.
+//! the run's [`crate::probe::Probe`] feeds the page facts of the page-based
+//! platforms (`svm-hlrc`, `lrc-tmk`) — fetches, diffs with their word
+//! footprints, invalidations — into a sharing tracker, and the finished
+//! profile is attached to [`RunStats::sharing`](crate::RunStats). The
+//! profiler never charges cycles: statistics are bit-identical with it on or
+//! off.
+
+use crate::util::FxMap;
 
 /// How a page was shared during the profiled region, judged from the
 /// word-granularity write footprints of the diffs it generated.
@@ -261,6 +266,134 @@ impl SharingProfile {
     }
 }
 
+/// Per-word diff-ownership sentinel: written by more than one node.
+const MULTI: u16 = u16::MAX;
+
+/// Activity record for one protocol page.
+#[derive(Clone, Debug, Default)]
+struct PageTrack {
+    fetches: u64,
+    diff_words: u64,
+    diff_runs: u64,
+    wire_bytes: u64,
+    invalidations: u64,
+    /// Nodes that diffed the page, ascending.
+    writers: Vec<u32>,
+    /// Nodes that fetched the page, ascending.
+    readers: Vec<u32>,
+    /// Per word: diffing node + 1 (0 = never diffed, [`MULTI`] = several);
+    /// allocated at the page's first diff.
+    owner: Vec<u16>,
+    /// Two nodes diffed the same word: genuine communication.
+    overlap: bool,
+}
+
+fn insert_sorted(v: &mut Vec<u32>, x: u32) {
+    if let Err(i) = v.binary_search(&x) {
+        v.insert(i, x);
+    }
+}
+
+impl PageTrack {
+    fn classify(&self) -> SharingClass {
+        match self.writers.len() {
+            0 => SharingClass::ReadShared,
+            1 => SharingClass::SingleWriter,
+            _ if self.overlap => SharingClass::TrueSharing,
+            _ => SharingClass::FalseSharing,
+        }
+    }
+}
+
+/// Accumulates a [`SharingProfile`] from page facts, keyed by page base
+/// address. Node ids are whatever the platform calls a protocol node.
+#[derive(Clone, Debug)]
+pub(crate) struct SharingTracker {
+    page_bytes: u64,
+    pages: FxMap<u64, PageTrack>,
+}
+
+impl SharingTracker {
+    /// A tracker for protocol pages of `page_bytes` bytes (0 on platforms
+    /// without pages, which report no page facts).
+    pub(crate) fn new(page_bytes: u64) -> Self {
+        Self {
+            page_bytes,
+            pages: FxMap::default(),
+        }
+    }
+
+    /// Forget everything recorded so far (the start of the timed region).
+    pub(crate) fn clear(&mut self) {
+        self.pages.clear();
+    }
+
+    /// Node `reader` fetched `page`, moving `wire` bytes.
+    pub(crate) fn fetch(&mut self, page: u64, reader: usize, wire: u64) {
+        let t = self.pages.entry(page).or_default();
+        t.fetches += 1;
+        t.wire_bytes += wire;
+        insert_sorted(&mut t.readers, reader as u32);
+    }
+
+    /// Node `writer` diffed `page`: `runs` are the diff's `(first word,
+    /// word count)` runs, `wire` the bytes it moved (0 for protocols that
+    /// archive diffs locally).
+    pub(crate) fn diff(&mut self, page: u64, writer: usize, runs: &[(u32, u32)], wire: u64) {
+        let words = (self.page_bytes / 4) as usize;
+        let t = self.pages.entry(page).or_default();
+        t.diff_words += runs.iter().map(|&(_, n)| n as u64).sum::<u64>();
+        t.diff_runs += runs.len() as u64;
+        t.wire_bytes += wire;
+        insert_sorted(&mut t.writers, writer as u32);
+        if t.owner.is_empty() {
+            t.owner = vec![0; words];
+        }
+        let me = writer as u16 + 1;
+        for &(first, n) in runs {
+            for o in &mut t.owner[first as usize..(first + n) as usize] {
+                if *o == 0 {
+                    *o = me;
+                } else if *o != me {
+                    *o = MULTI;
+                    t.overlap = true;
+                }
+            }
+        }
+    }
+
+    /// A copy of `page` was invalidated by a write notice.
+    pub(crate) fn inval(&mut self, page: u64) {
+        self.pages.entry(page).or_default().invalidations += 1;
+    }
+
+    /// The profile, ascending by page address. Allocation labels are left
+    /// empty for the caller to attribute.
+    pub(crate) fn profile(&self) -> SharingProfile {
+        let mut pages: Vec<PageSharing> = self
+            .pages
+            .iter()
+            .map(|(&page_base, t)| PageSharing {
+                page_base,
+                label: "",
+                fetches: t.fetches,
+                diff_words: t.diff_words,
+                diff_runs: t.diff_runs,
+                wire_bytes: t.wire_bytes,
+                invalidations: t.invalidations,
+                writers: t.writers.clone(),
+                readers: t.readers.clone(),
+                class: t.classify(),
+            })
+            .collect();
+        pages.sort_by_key(|p| p.page_base);
+        SharingProfile {
+            page_bytes: self.page_bytes,
+            pages,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,5 +448,62 @@ mod tests {
         let json = prof.to_json();
         assert!(json.contains("\"label\": \"grid\""));
         assert!(json.contains("\"false_share\": 1.0000"));
+    }
+
+    /// Word runs of the given word indices (ascending).
+    fn runs_of(words: &[u32]) -> Vec<(u32, u32)> {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for &w in words {
+            match runs.last_mut() {
+                Some((s, n)) if *s + *n == w => *n += 1,
+                _ => runs.push((w, 1)),
+            }
+        }
+        runs
+    }
+
+    fn class_of(t: &SharingTracker, page: u64) -> SharingClass {
+        t.pages[&page].classify()
+    }
+
+    #[test]
+    fn disjoint_writers_classify_as_false_sharing() {
+        let mut t = SharingTracker::new(64);
+        t.diff(0, 0, &runs_of(&[0, 1]), 20);
+        t.diff(0, 1, &runs_of(&[8]), 12);
+        assert_eq!(class_of(&t, 0), SharingClass::FalseSharing);
+        assert_eq!(t.pages[&0].diff_words, 3);
+        assert_eq!(t.pages[&0].diff_runs, 2);
+    }
+
+    #[test]
+    fn overlapping_writers_classify_as_true_sharing() {
+        let mut t = SharingTracker::new(64);
+        t.diff(0, 0, &runs_of(&[4]), 12);
+        t.diff(0, 2, &runs_of(&[4]), 12);
+        assert_eq!(class_of(&t, 0), SharingClass::TrueSharing);
+    }
+
+    #[test]
+    fn single_writer_and_read_only_classes() {
+        let mut t = SharingTracker::new(64);
+        t.diff(0, 3, &runs_of(&[0]), 12);
+        t.diff(0, 3, &runs_of(&[5]), 12);
+        assert_eq!(class_of(&t, 0), SharingClass::SingleWriter);
+        t.fetch(64, 1, 4096);
+        t.fetch(64, 2, 4096);
+        assert_eq!(class_of(&t, 64), SharingClass::ReadShared);
+    }
+
+    #[test]
+    fn profile_sorts_pages_by_address() {
+        let mut t = SharingTracker::new(4096);
+        for page in [5 << 12, 2 << 12, 9 << 12] {
+            t.inval(page);
+        }
+        let prof = t.profile();
+        let bases: Vec<u64> = prof.pages.iter().map(|p| p.page_base).collect();
+        assert_eq!(bases, vec![2 << 12, 5 << 12, 9 << 12]);
+        assert_eq!(prof.page_bytes, 4096);
     }
 }

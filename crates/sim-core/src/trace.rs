@@ -4,9 +4,9 @@
 //! simulated processor records virtual-time-stamped [`Event`]s into a
 //! bounded per-proc buffer: phase transitions, lock and barrier episodes,
 //! page fetches, diff creation/application, invalidations and remote
-//! misses. The scheduler emits the synchronization events from its central
-//! hooks; the platform crates emit the protocol events from their pricing
-//! paths. All timestamps are virtual cycles — no host clocks — so traces
+//! misses. The scheduler reports the synchronization events, and the
+//! platform crates report the protocol facts, through the run's
+//! [`crate::probe::Probe`]. All timestamps are virtual cycles — no host clocks — so traces
 //! are bit-identical across repeated runs.
 //!
 //! Tracing is **off by default** and **invisible**: a traced run produces a
@@ -23,7 +23,6 @@
 //! for terminals ([`RunTrace::ascii_timeline`]).
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 /// Default per-processor event-buffer capacity (events beyond this are
 /// counted, not stored). Override with [`crate::RunConfig::with_trace_cap`].
@@ -317,10 +316,8 @@ impl WaitHist {
     }
 }
 
-/// Shared, mutable trace state while a run is in flight. One instance per
-/// traced run, shared between the scheduler and the platform via
-/// [`TraceHandle`]; the mutex is uncontended (everything already runs under
-/// the global scheduler lock) and exists only to keep the handle `Send`.
+/// Mutable trace state while a run is in flight: one instance per traced
+/// run, held by the run's [`crate::probe::Probe`].
 #[derive(Debug)]
 pub struct TraceSink {
     cap: usize,
@@ -340,9 +337,6 @@ struct SinkProc {
     lock: WaitHist,
     barrier: WaitHist,
 }
-
-/// Handle through which the scheduler and platforms append events.
-pub type TraceHandle = Arc<Mutex<TraceSink>>;
 
 impl TraceSink {
     /// Create a sink for `nprocs` processors with a per-proc event cap of
@@ -488,49 +482,6 @@ impl TraceSink {
                     }
                 })
                 .collect(),
-        }
-    }
-}
-
-/// Convenience emitter for platform code: no-op unless tracing is on *and*
-/// the timed region is active (keeping warm-up traffic out of the trace).
-#[inline]
-pub fn emit(tr: &Option<TraceHandle>, timing_on: bool, pid: usize, ts: u64, kind: EventKind) {
-    if timing_on {
-        if let Some(h) = tr {
-            h.lock().unwrap().push(pid, ts, kind);
-        }
-    }
-}
-
-/// Convenience fetch-latency sampler for platform code (same gating as
-/// [`emit`]).
-#[inline]
-pub fn sample_fetch(tr: &Option<TraceHandle>, timing_on: bool, pid: usize, cycles: u64) {
-    if timing_on {
-        if let Some(h) = tr {
-            h.lock().unwrap().sample_fetch(pid, cycles);
-        }
-    }
-}
-
-/// Convenience dependency-edge emitter for platform code (same gating as
-/// [`emit`]; zero-length edges are skipped by the sink).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn emit_edge(
-    tr: &Option<TraceHandle>,
-    timing_on: bool,
-    kind: DepKind,
-    dst: usize,
-    t0: u64,
-    t1: u64,
-    src: usize,
-    src_ts: u64,
-) {
-    if timing_on && t1 > t0 {
-        if let Some(h) = tr {
-            h.lock().unwrap().push_edge(kind, dst, t0, t1, src, src_ts);
         }
     }
 }

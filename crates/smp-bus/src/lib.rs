@@ -20,7 +20,7 @@ use sim_core::cache::{Cache, CacheGeom, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::FxMap;
-use sim_core::{Addr, FlatMem, PlacementMap, Resource};
+use sim_core::{Addr, FlatMem, PlacementMap, Probe, Resource};
 
 /// Tunable parameters of the SMP platform (cycles at 150 MHz).
 #[derive(Clone, Debug)]
@@ -88,10 +88,6 @@ pub struct SmpPlatform {
     bus: Resource,
     snoop: FxMap<u64, SnoopEnt>,
     line_mask: u64,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
 }
 
 impl SmpPlatform {
@@ -109,8 +105,6 @@ impl SmpPlatform {
             bus: Resource::new(),
             snoop: FxMap::default(),
             line_mask,
-            trace: None,
-            metrics: None,
         }
     }
 
@@ -136,22 +130,15 @@ impl SmpPlatform {
     fn service_miss(&mut self, t: &mut Timing, line: u64, write: bool) -> u64 {
         let pid = t.pid;
         let ent = *self.snoop.entry(line).or_default();
-        let mut stall;
+        let stall;
         let mut src = pid;
         if let Some(owner) = ent.owner {
             let owner = owner as usize;
             if owner != pid {
-                src = owner;
                 // Cache-to-cache: one line transfer on the bus. The closest
-                // thing a snooping bus has to a "remote" miss — trace it
-                // with the supplying cache as the home.
-                sim_core::trace::emit(
-                    &self.trace,
-                    t.timing_on,
-                    pid,
-                    *t.now,
-                    sim_core::EventKind::RemoteMiss { line, home: owner },
-                );
+                // thing a snooping bus has to a "remote" miss, with the
+                // supplying cache as the home.
+                src = owner;
                 stall = self.bus_txn(t, self.cfg.bus_line);
                 if write {
                     self.caches[owner].0.set_state(line, LineState::Invalid);
@@ -186,26 +173,10 @@ impl SmpPlatform {
             }
         }
         self.snoop.insert(line, ent);
-        if t.timing_on {
-            stall += 0;
-        }
         t.stats.counters.bytes_transferred += self.cfg.l2.line;
-        // Every bus-serviced miss is a data-latency sample on this platform.
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, t.pid, stall);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, line);
-        // Critical-path provenance: the caller charges `stall` from `now`,
-        // so the service interval is (now, now + stall]; the supplying
-        // cache (if any) is the serving side, otherwise memory (self).
-        sim_core::trace::emit_edge(
-            &self.trace,
-            t.timing_on,
-            sim_core::DepKind::RemoteMiss { line },
-            pid,
-            *t.now,
-            *t.now + stall,
-            src,
-            *t.now,
-        );
+        // Every bus-serviced miss is a data-latency sample on this platform;
+        // the supplying cache (if any) is the serving side, else memory.
+        t.probe.remote_miss(pid, line, src, *t.now, stall);
         stall
     }
 
@@ -403,9 +374,9 @@ impl Platform for SmpPlatform {
         grant_at: u64,
         _stats: &mut ProcStats,
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> u64 {
-        if !timing_on {
+        if !probe.timing_on() {
             return grant_at;
         }
         grant_at + self.cfg.lock_base
@@ -434,10 +405,10 @@ impl Platform for SmpPlatform {
         arrivals: &[u64],
         _stats: &mut [ProcStats],
         _placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Vec<u64> {
         let last = arrivals.iter().copied().max().unwrap_or(0);
-        if !timing_on {
+        if !probe.timing_on() {
             return arrivals.to_vec();
         }
         vec![last + self.cfg.barrier_latency; arrivals.len()]
@@ -445,14 +416,6 @@ impl Platform for SmpPlatform {
 
     fn reset_timing(&mut self) {
         self.bus.reset();
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
     }
 }
 

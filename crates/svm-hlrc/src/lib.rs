@@ -29,17 +29,15 @@
 #![allow(clippy::needless_range_loop)]
 mod config;
 mod page;
-mod track;
 
 pub use config::SvmConfig;
 pub use page::{Diff, DiffWords, PState, PageEntry};
-pub use track::{build_profile, PageTrack};
 
 use sim_core::cache::{Cache, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
-use sim_core::{Addr, PlacementMap, Resource};
+use sim_core::{Addr, DiffCreated, PageFetch, PlacementMap, Probe, Resource};
 
 /// One SVM node (which hosts `procs_per_node` processors): page table and
 /// protocol resources. Caches are per processor, in `SvmPlatform::caches`.
@@ -69,6 +67,17 @@ struct Interval {
     pages: Vec<u64>,
 }
 
+/// A diff flushed home by `SvmPlatform::flush_page`.
+struct Flush {
+    diff: Diff,
+    /// Cycles the flushing processor spends creating and sending it.
+    local: u64,
+    /// When the home has applied it.
+    applied: u64,
+    /// Bytes it moves over the interconnect.
+    wire: u64,
+}
+
 /// Cost accumulator for grant/barrier-side invalidation processing.
 #[derive(Default, Clone, Copy)]
 struct Acc {
@@ -83,10 +92,6 @@ pub struct SvmPlatform {
     nodes: Vec<Node>,
     /// Per-processor cache hierarchies.
     caches: Vec<(Cache, Cache)>,
-    activity: FxMap<u64, PageTrack>,
-    /// Word-granularity sharing footprints requested for this run (see
-    /// [`sim_core::sharing`]); counters in `activity` are always on.
-    profiling: bool,
     /// Closed-interval counts (vector timestamp component per processor).
     vt: Vec<u32>,
     /// `vc[g][r]`: how many of r's intervals processor g has consumed.
@@ -97,10 +102,6 @@ pub struct SvmPlatform {
     log_base: Vec<u32>,
     /// Vector clock at the last release of each lock.
     lock_vc: FxMap<u32, Vec<u32>>,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
 }
 
 impl SvmPlatform {
@@ -137,15 +138,11 @@ impl SvmPlatform {
             page_shift,
             nodes,
             caches,
-            activity: FxMap::default(),
-            profiling: false,
             vt: vec![0; nn],
             vc: vec![vec![0; nn]; nn],
             logs: vec![Vec::new(); nn],
             log_base: vec![0; nn],
             lock_vc: FxMap::default(),
-            trace: None,
-            metrics: None,
         }
     }
 
@@ -196,17 +193,6 @@ impl SvmPlatform {
         self.home_frame_entry(home, page);
         let t0 = *t.now;
         let wire = self.page_bytes() + self.cfg.ctrl_msg_bytes;
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            t.pid,
-            t0,
-            sim_core::EventKind::PageFetchStart {
-                page: page << self.page_shift,
-                home,
-                bytes: wire,
-            },
-        );
         // Timing: trap, request message, home service, page transfer.
         t.charge(Bucket::DataWait, self.cfg.fault_trap);
         if t.timing_on {
@@ -224,34 +210,18 @@ impl SvmPlatform {
             let done = in_end + self.page_bytes() / 2 * self.cfg.memcpy_cyc_per_2bytes;
             t.advance_to(Bucket::DataWait, done);
         }
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            t.pid,
-            *t.now,
-            sim_core::EventKind::PageFetchDone {
-                page: page << self.page_shift,
-                home,
-                bytes: wire,
-            },
-        );
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, t.pid, *t.now - t0);
-        // Critical-path provenance: the fetch stalled `t.pid` over
-        // (t0, now]; the serving side is the home node (its first proc
-        // stands in for the node in the edge record).
-        sim_core::trace::emit_edge(
-            &self.trace,
-            t.timing_on,
-            sim_core::DepKind::PageFetch {
-                page: page << self.page_shift,
-                bytes: wire,
-            },
-            t.pid,
+        // The home node's first processor stands in for the serving side
+        // in the critical-path edge.
+        t.probe.page_fetch(PageFetch {
+            pid: t.pid,
+            node: nd,
+            page: page << self.page_shift,
+            home,
+            server: home * self.cfg.procs_per_node,
+            bytes: wire,
             t0,
-            *t.now,
-            home * self.cfg.procs_per_node,
-            t0,
-        );
+            t1: *t.now,
+        });
         // State: install a read-only copy of the home frame.
         let entry = PageEntry::copy_of(&self.nodes[home].pages[&page].frame);
         self.nodes[nd].pages.insert(page, entry);
@@ -265,12 +235,6 @@ impl SvmPlatform {
         }
         t.stats.counters.remote_fetches += 1;
         t.stats.counters.bytes_transferred += wire;
-        let (profiling, words) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_fetch(nd, wire, profiling, words);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, page << self.page_shift);
     }
 
     /// Processor ids hosted by node `nd`.
@@ -371,48 +335,29 @@ impl SvmPlatform {
         frame[off..off + len as usize].copy_from_slice(&val.to_le_bytes()[..len as usize]);
     }
 
-    /// Flush one dirty page's diff to its home: state transfer plus cost
-    /// bookkeeping. Returns `(local_cycles, arrival_at_home)` — the cycles
-    /// the flushing processor spends, and when the diff lands at the home.
-    /// `now` is the flusher's clock *after* `local_cycles` so far.
-    /// `diff_at` is the virtual time the interval metrics attribute the
-    /// diff to (the invalidation path prices with `now = 0` but knows the
-    /// real consumption time).
+    /// Flush one dirty page's diff from node `nd` to its home: state
+    /// transfer plus cost bookkeeping. `now` is the flusher's clock. Returns
+    /// `None` when `nd` is the home (its writes are already in place).
     fn flush_page(
         &mut self,
+        probe: &mut Probe,
         nd: usize,
         page: u64,
         home: usize,
         now: u64,
-        timing_on: bool,
-        diff_at: u64,
-    ) -> (u64, u64, u64) {
+    ) -> Option<Flush> {
         let scan = self.cfg.words_per_page() * self.cfg.diff_scan_per_word;
         let entry = self.nodes[nd].pages.get_mut(&page).unwrap();
         debug_assert_eq!(entry.state, PState::ReadWrite);
         entry.state = PState::ReadOnly;
         if nd == home {
-            // Writes already in place; nothing to transfer.
-            return (0, now, 0);
+            return None;
         }
         let twin = entry.twin.take().expect("dirty remote page without twin");
         let diff = Diff::create(&twin, &entry.frame);
         let nwords = diff.len() as u64;
         let nruns = diff.run_count() as u64;
-        let wire_bytes = diff.wire_bytes() + self.cfg.ctrl_msg_bytes;
-        let (profiling, words) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_diff(nd, &diff, wire_bytes, profiling, words);
-        sim_core::metrics::page_diff(
-            &self.metrics,
-            timing_on,
-            diff_at,
-            page << self.page_shift,
-            nd as u16,
-            diff.words().map(|(w, _)| w),
-        );
+        let wire = diff.wire_bytes() + self.cfg.ctrl_msg_bytes;
         // Apply to home frame (state). The applier is remote: count the
         // application at the home via its debt counter, drained at finalize.
         self.home_frame_entry(home, page);
@@ -426,30 +371,31 @@ impl SvmPlatform {
             self.caches[q].0.invalidate_range(base, len);
             self.caches[q].1.invalidate_range(base, len);
         }
-        if !timing_on {
-            return (0, now, 0);
-        }
-        let local = scan + nwords * self.cfg.diff_scan_per_word + nruns * 8;
-        let (_, send_end) = self.nodes[nd]
-            .io_out
-            .serve(now + local, wire_bytes * self.cfg.io_cyc_per_byte);
-        let arr = send_end + self.cfg.wire_latency;
-        let apply = self.cfg.handler_cost + nwords * self.cfg.diff_apply_per_word + nruns * 8;
-        let (_, in_end) = self.nodes[home]
-            .io_in
-            .serve(arr, wire_bytes * self.cfg.io_cyc_per_byte);
-        let (_, applied) = self.nodes[home].handler.serve(in_end, apply);
-        self.nodes[home].debt += apply;
-        // Attribute the application to the home node's first processor, at
-        // the virtual time the home handler finished applying it.
-        sim_core::trace::emit(
-            &self.trace,
-            timing_on,
-            home * self.cfg.procs_per_node,
+        let (local, applied) = if probe.timing_on() {
+            let local = scan + nwords * self.cfg.diff_scan_per_word + nruns * 8;
+            let (_, send_end) = self.nodes[nd]
+                .io_out
+                .serve(now + local, wire * self.cfg.io_cyc_per_byte);
+            let arr = send_end + self.cfg.wire_latency;
+            let apply = self.cfg.handler_cost + nwords * self.cfg.diff_apply_per_word + nruns * 8;
+            let (_, in_end) = self.nodes[home]
+                .io_in
+                .serve(arr, wire * self.cfg.io_cyc_per_byte);
+            let (_, applied) = self.nodes[home].handler.serve(in_end, apply);
+            self.nodes[home].debt += apply;
+            // Attribute the application to the home node's first processor,
+            // at the virtual time the home handler finished applying it.
+            probe.diff_applied(home * self.cfg.procs_per_node, base, applied);
+            (local, applied)
+        } else {
+            (0, now)
+        };
+        Some(Flush {
+            diff,
+            local,
             applied,
-            sim_core::EventKind::DiffApplied { page: base },
-        );
-        (local, applied, wire_bytes)
+            wire,
+        })
     }
 
     /// Close `pid`'s current interval: flush all dirty pages home and log
@@ -466,42 +412,32 @@ impl SvmPlatform {
         for &page in &pages {
             let still_dirty =
                 self.nodes[nd].pages.get(&page).map(|e| e.state) == Some(PState::ReadWrite);
-            if still_dirty {
-                let home =
-                    t.placement.home_of(page << self.page_shift, t.pid) / self.cfg.procs_per_node;
-                let diff_t0 = *t.now;
-                let (local, applied, bytes) =
-                    self.flush_page(nd, page, home, *t.now, t.timing_on, *t.now);
-                t.charge(Bucket::HandlerCompute, local);
-                // Critical-path provenance: the flusher spent (diff_t0, now]
-                // creating this page's diff.
-                sim_core::trace::emit_edge(
-                    &self.trace,
-                    t.timing_on,
-                    sim_core::DepKind::Diff {
-                        page: page << self.page_shift,
-                    },
-                    t.pid,
-                    diff_t0,
-                    *t.now,
-                    t.pid,
-                    diff_t0,
-                );
-                all_applied = all_applied.max(applied);
-                t.stats.counters.bytes_transferred += bytes;
-                if nd != home {
-                    t.stats.counters.diffs_created += 1;
-                    sim_core::trace::emit(
-                        &self.trace,
-                        t.timing_on,
-                        t.pid,
-                        *t.now,
-                        sim_core::EventKind::DiffCreated {
-                            page: page << self.page_shift,
-                        },
-                    );
-                }
+            if !still_dirty {
+                continue;
             }
+            let base = page << self.page_shift;
+            let home = t.placement.home_of(base, t.pid) / self.cfg.procs_per_node;
+            let t0 = *t.now;
+            let Some(f) = self.flush_page(t.probe, nd, page, home, t0) else {
+                continue;
+            };
+            t.charge(Bucket::HandlerCompute, f.local);
+            // The flusher spent (t0, now] creating this page's diff.
+            t.probe.diff_created(DiffCreated {
+                pid: t.pid,
+                node: nd,
+                page: base,
+                runs: f.diff.runs(),
+                bytes: f.wire,
+                at: t0,
+                t0,
+                t1: *t.now,
+            });
+            all_applied = all_applied.max(f.applied);
+            if t.timing_on {
+                t.stats.counters.bytes_transferred += f.wire;
+            }
+            t.stats.counters.diffs_created += 1;
         }
         self.logs[nd].push(Interval { pages });
         self.vt[nd] += 1;
@@ -509,20 +445,21 @@ impl SvmPlatform {
         all_applied
     }
 
-    /// Invalidate `page` at node `g` (consume a write notice). Flushes the
-    /// local diff first if the copy is dirty, so no local writes are lost —
-    /// the multiple-writer discipline.
+    /// Invalidate `page` at node `g` (consume a write notice at virtual time
+    /// `at`). Flushes the local diff first if the copy is dirty, so no local
+    /// writes are lost — the multiple-writer discipline.
     fn invalidate_page(
         &mut self,
         g: usize,
         page: u64,
         at: u64,
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
         acc: &mut Acc,
     ) {
         let toucher = g * self.cfg.procs_per_node;
-        let home = placement.home_of(page << self.page_shift, toucher) / self.cfg.procs_per_node;
+        let base = page << self.page_shift;
+        let home = placement.home_of(base, toucher) / self.cfg.procs_per_node;
         if g == home {
             return; // the home copy is always current
         }
@@ -530,20 +467,23 @@ impl SvmPlatform {
         match state {
             None => {}
             Some(PState::ReadWrite) => {
-                let (local, _, _) = self.flush_page(g, page, home, 0, timing_on, at);
+                let f = self
+                    .flush_page(probe, g, page, home, 0)
+                    .expect("a non-home copy flushes a diff");
                 // The flusher here is the invalidated node, whose statistics
                 // this path cannot reach: accrue and drain at finalize.
                 self.nodes[g].diffs_created_debt += 1;
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    toucher,
+                probe.diff_created(DiffCreated {
+                    pid: toucher,
+                    node: g,
+                    page: base,
+                    runs: f.diff.runs(),
+                    bytes: f.wire,
                     at,
-                    sim_core::EventKind::DiffCreated {
-                        page: page << self.page_shift,
-                    },
-                );
-                acc.cycles += local;
+                    t0: at,
+                    t1: at,
+                });
+                acc.cycles += f.local;
                 self.nodes[g].pages.remove(&page);
                 acc.cycles += self.cfg.inval_per_page;
                 acc.invals += 1;
@@ -555,19 +495,8 @@ impl SvmPlatform {
             }
         }
         if state.is_some() {
-            self.activity.entry(page).or_default().record_inval();
-            sim_core::metrics::page_inval(&self.metrics, timing_on, at, page << self.page_shift);
-            sim_core::trace::emit(
-                &self.trace,
-                timing_on,
-                toucher,
-                at,
-                sim_core::EventKind::Invalidation {
-                    page: page << self.page_shift,
-                },
-            );
+            probe.inval(toucher, base, at);
         }
-        let base = page << self.page_shift;
         let len = self.cfg.page_size;
         for q in self.node_procs(g) {
             self.caches[q].0.invalidate_range(base, len);
@@ -583,7 +512,7 @@ impl SvmPlatform {
         upto: &[u32],
         at: u64,
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Acc {
         let mut acc = Acc::default();
         for r in 0..self.cfg.nnodes() {
@@ -600,7 +529,7 @@ impl SvmPlatform {
                 let li = (idx - self.log_base[r]) as usize;
                 let pages: Vec<u64> = self.logs[r][li].pages.clone();
                 for page in pages {
-                    self.invalidate_page(g, page, at, placement, timing_on, &mut acc);
+                    self.invalidate_page(g, page, at, placement, probe, &mut acc);
                 }
             }
             self.vc[g][r] = to;
@@ -819,16 +748,16 @@ impl Platform for SvmPlatform {
         grant_at: u64,
         stats: &mut ProcStats,
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> u64 {
         // Consume causally preceding write notices.
         let upto = match self.lock_vc.get(&lock) {
             Some(v) => v.clone(),
             None => vec![0; self.cfg.nprocs],
         };
-        let acc = self.consume_notices(self.node_of(pid), &upto, grant_at, placement, timing_on);
+        let acc = self.consume_notices(self.node_of(pid), &upto, grant_at, placement, probe);
         stats.counters.invalidations += acc.invals;
-        if !timing_on {
+        if !probe.timing_on() {
             return grant_at;
         }
         grant_at + self.cfg.wire_latency + self.cfg.handler_cost + acc.cycles
@@ -869,8 +798,9 @@ impl Platform for SvmPlatform {
         arrivals: &[u64],
         stats: &mut [ProcStats],
         placement: &mut PlacementMap,
-        timing_on: bool,
+        probe: &mut Probe,
     ) -> Vec<u64> {
+        let timing_on = probe.timing_on();
         let n = self.cfg.nprocs;
         let ppn = self.cfg.procs_per_node;
         let nn = self.cfg.nnodes();
@@ -887,7 +817,7 @@ impl Platform for SvmPlatform {
         let mut send_cursor = merge_end;
         let mut mgr_acc = Acc::default();
         for nd in 0..nn {
-            let acc = self.consume_notices(nd, &vt, merge_end, placement, timing_on);
+            let acc = self.consume_notices(nd, &vt, merge_end, placement, probe);
             stats[nd * ppn].counters.invalidations += acc.invals;
             if nd == mgr {
                 mgr_acc = acc;
@@ -922,7 +852,6 @@ impl Platform for SvmPlatform {
     }
 
     fn reset_timing(&mut self) {
-        self.activity.clear();
         for node in &mut self.nodes {
             node.handler.reset();
             node.io_in.reset();
@@ -933,58 +862,8 @@ impl Platform for SvmPlatform {
         }
     }
 
-    fn profile(&self) -> Option<String> {
-        if self.activity.is_empty() {
-            return None;
-        }
-        // The page-level performance-debugging report the paper says real
-        // SVM systems should provide: the hottest pages by fetch count,
-        // with their diff and invalidation volume.
-        let mut pages: Vec<(&u64, &PageTrack)> = self.activity.iter().collect();
-        pages.sort_by_key(|(p, a)| (std::cmp::Reverse(a.fetches), **p));
-        let mut s = String::from(
-            "SVM page profile (hottest pages by remote fetches):\n             page_base          fetches  diff_words   diff_runs  wire_bytes  invalidations\n",
-        );
-        let total: u64 = pages.iter().map(|(_, a)| a.fetches).sum();
-        for (page, a) in pages.iter().take(16) {
-            s.push_str(&format!(
-                "{:#014x} {:>10} {:>11} {:>11} {:>11} {:>14}\n",
-                **page << self.page_shift,
-                a.fetches,
-                a.diff_words,
-                a.diff_runs,
-                a.wire_bytes,
-                a.invalidations
-            ));
-        }
-        let top: u64 = pages.iter().take(16).map(|(_, a)| a.fetches).sum();
-        s.push_str(&format!(
-            "{} pages active; top 16 pages account for {:.0}% of {} fetches\n",
-            pages.len(),
-            100.0 * top as f64 / total.max(1) as f64,
-            total
-        ));
-        Some(s)
-    }
-
-    fn set_sharing_profile(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
-    }
-
-    fn sharing_profile(&self) -> Option<sim_core::sharing::SharingProfile> {
-        Some(track::build_profile(
-            &self.activity,
-            self.page_shift,
-            self.page_bytes(),
-        ))
+    fn page_bytes(&self) -> Option<u64> {
+        Some(self.cfg.page_size)
     }
 
     fn finalize(&mut self, stats: &mut [ProcStats]) {

@@ -126,6 +126,12 @@ impl Diff {
         self.runs.len()
     }
 
+    /// The word footprint: `(first word index, word count)` per maximal
+    /// contiguous run, ascending.
+    pub fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
     /// Wire size in bytes: an 8-byte (offset, length) header per contiguous
     /// run plus 4 bytes per word.
     pub fn wire_bytes(&self) -> u64 {
