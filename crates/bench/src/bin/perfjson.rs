@@ -40,17 +40,14 @@
 //! the per-family recommendation counts.
 //!
 //! Every main cell is additionally re-timed on the sharded generate/replay
-//! engine (`with_shards(4)`), twice: once with the classic thread-per-
-//! processor replay side and once with the fused single-threaded
-//! event-loop replay engine (the default). Both sharded `RunStats` are
-//! asserted bit-identical to the sequential bulk run right here in the
-//! bench, and the JSON records per cell the sequential, classic-sharded
-//! and fused-sharded host seconds (`shard_speedup` / `fused_speedup` are
-//! relative to sequential) plus the host's CPU count. The speedup columns
-//! only mean anything relative to `host_cpus`: generation runs on its own
-//! threads, so on a single-CPU host the pipeline serializes and the
-//! columns read as pure engine overhead, while multi-core hosts overlap
-//! generation with replay.
+//! engine (`with_shards(4)`, fused single-threaded event-loop replay). Its
+//! `RunStats` are asserted bit-identical to the sequential bulk run right
+//! here in the bench, and the JSON records per cell the sequential and
+//! fused-sharded host seconds (`fused_speedup` is relative to sequential)
+//! plus the host's CPU count. The speedup column only means anything
+//! relative to `host_cpus`: generation runs on its own threads, so on a
+//! single-CPU host the pipeline serializes and the column reads as pure
+//! engine overhead, while multi-core hosts overlap generation with replay.
 //!
 //! A final section sweeps the descriptor batch size (`with_shard_batch`)
 //! on one fused cell: the channel-granularity knob must be invisible in
@@ -71,7 +68,6 @@ struct Cell {
     platform: Platform,
     host_s_scalar: f64,
     host_s_bulk: f64,
-    host_s_shards4: f64,
     host_s_fused: f64,
     sim_cycles: u64,
 }
@@ -149,27 +145,13 @@ fn main() {
                 "scalar and bulk RunStats diverge for {app:?} on {platform:?}"
             );
             let t2 = Instant::now();
-            let sharded = spec.run_cfg(
-                platform,
-                nprocs,
-                scale,
-                RunConfig::new(nprocs)
-                    .with_shards(4)
-                    .with_shard_fused(false),
-            );
-            let host_s_shards4 = t2.elapsed().as_secs_f64();
-            assert_eq!(
-                bulk, sharded,
-                "classic sharded and sequential RunStats diverge for {app:?} on {platform:?}"
-            );
-            let t3 = Instant::now();
             let fused = spec.run_cfg(
                 platform,
                 nprocs,
                 scale,
-                RunConfig::new(nprocs).with_shards(4).with_shard_fused(true),
+                RunConfig::new(nprocs).with_shards(4),
             );
-            let host_s_fused = t3.elapsed().as_secs_f64();
+            let host_s_fused = t2.elapsed().as_secs_f64();
             assert_eq!(
                 bulk, fused,
                 "fused sharded and sequential RunStats diverge for {app:?} on {platform:?}"
@@ -179,7 +161,6 @@ fn main() {
                 platform,
                 host_s_scalar,
                 host_s_bulk,
-                host_s_shards4,
                 host_s_fused,
                 sim_cycles: bulk.total_cycles(),
             });
@@ -448,15 +429,13 @@ fn main() {
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let speedup = c.host_s_scalar / c.host_s_bulk.max(1e-12);
-        let shard_speedup = c.host_s_bulk / c.host_s_shards4.max(1e-12);
         let fused_speedup = c.host_s_bulk / c.host_s_fused.max(1e-12);
         let cps = c.sim_cycles as f64 / c.host_s_bulk.max(1e-12);
         let _ = write!(
             json,
             "    {{\"app\": \"{}\", \"platform\": \"{}\", \
              \"host_s_scalar\": {:.4}, \"host_s_bulk\": {:.4}, \
-             \"bulk_speedup\": {:.2}, \"host_s_shards4\": {:.4}, \
-             \"shard_speedup\": {:.2}, \"host_s_fused\": {:.4}, \
+             \"bulk_speedup\": {:.2}, \"host_s_fused\": {:.4}, \
              \"fused_speedup\": {:.2}, \"sim_cycles\": {}, \
              \"sim_cycles_per_host_s\": {:.0}}}",
             c.app.name(),
@@ -464,8 +443,6 @@ fn main() {
             c.host_s_scalar,
             c.host_s_bulk,
             speedup,
-            c.host_s_shards4,
-            shard_speedup,
             c.host_s_fused,
             fused_speedup,
             c.sim_cycles,

@@ -282,10 +282,8 @@ impl Platform for DsmPlatform {
         self.cfg.nprocs
     }
 
-    fn min_cross_node_latency(&self) -> Option<u64> {
-        // The cheapest cross-processor interaction crosses the network
-        // once and touches the directory at the home.
-        Some(self.cfg.hop + self.cfg.dir_occupancy)
+    fn supports_replay(&self) -> bool {
+        true
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {

@@ -481,10 +481,8 @@ impl Platform for TmkPlatform {
         self.cfg.nprocs
     }
 
-    fn min_cross_node_latency(&self) -> Option<u64> {
-        // TreadMarks-style LRC: uniprocessor nodes, so the cheapest
-        // cross-processor interaction is one message over the wire.
-        Some(self.cfg.wire_latency)
+    fn supports_replay(&self) -> bool {
+        true
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {

@@ -1,17 +1,19 @@
 //! The fused replay engine: every replay interpreter as a stackless state
 //! machine, all of them driven by ONE host thread's virtual-time event loop.
 //!
+//! This is the sharded engine's replay side (see [`crate::shard`]); the
+//! other engine is the classic sequential scheduler, the oracle.
+//!
 //! ## Why fuse?
 //!
-//! The sharded engine's replay side (see [`crate::shard`]) originally ran
-//! the *unmodified* classic scheduler: one OS thread per simulated
-//! processor, each op acquiring the global scheduler mutex, every quantum
-//! hand-off a condvar wakeup and an OS context switch. That machinery
-//! exists so arbitrary application code — with its real call stack — can
-//! suspend mid-computation. But a replay interpreter has no application
-//! stack: its entire continuation is "which descriptor comes next plus at
-//! most one partially-consumed bulk operation". That continuation fits in
-//! a small enum, so the interpreters can be coroutine-style state machines
+//! The classic scheduler runs one OS thread per simulated processor, each
+//! op acquiring the global scheduler mutex, every quantum hand-off a
+//! condvar wakeup and an OS context switch. That machinery exists so
+//! arbitrary application code — with its real call stack — can suspend
+//! mid-computation. But a replay interpreter has no application stack:
+//! its entire continuation is "which descriptor comes next plus at most
+//! one partially-consumed bulk operation". That continuation fits in a
+//! small enum, so the interpreters can be coroutine-style state machines
 //! multiplexed onto a single host thread: no mutex per op, no condvar
 //! wakeups, no OS context switch per hand-off.
 //!
@@ -29,17 +31,17 @@
 //! instead of threads — same transitions, same FCFS resource pricing
 //! order, same trace/edge/sharing/detector hook sequence, and therefore
 //! bit-identical `RunStats`. `tests/shard_equivalence.rs` runs the full
-//! differential grid against both replay engines.
+//! differential grid against the sequential oracle.
 //!
 //! A machine whose descriptor batch runs dry blocks on its channel *while
-//! holding the turn* — exactly as the classic interpreter thread does on
-//! `recv`. This is deterministic (virtual time must advance through this
-//! processor; which host thread produces the bytes does not matter) and
+//! holding the turn*. This is deterministic (virtual time must advance
+//! through this processor; which host thread produces the bytes does not
+//! matter) and
 //! deadlock-free (round-trip replies owed by this machine are sent before
 //! the receive, and every other generation thread keeps streaming
 //! independently).
 
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 
 use crate::addr::Addr;
 use crate::platform::Platform;
@@ -65,15 +67,14 @@ fn step_to_action(s: Step) -> Action {
     }
 }
 
-/// Mid-operation continuation of one interpreter: everything the classic
+/// Mid-operation continuation of one interpreter: everything a blocking
 /// interpreter would keep on its call stack between scheduler entries.
 enum MState {
     /// Ready to consume the next descriptor.
     Idle,
     /// A round-trip descriptor completed; the reply is sent the next time
-    /// this machine runs — the moment the classic interpreter thread,
-    /// rescheduled after the blocking `Proc` call returned, would execute
-    /// its `send`.
+    /// this machine runs — the moment a blocking `Proc` call would have
+    /// returned to the application.
     OweReply(Reply),
     /// Partially consumed bulk load: `done` of `n` words performed.
     LoadSlice {
@@ -106,8 +107,6 @@ struct Machine {
     /// generation side's value plane; replay only prices the accesses).
     scratch: Vec<u64>,
     bulk: bool,
-    n_recvs: u64,
-    n_blocked: u64,
 }
 
 /// Panic payload for the no-runnable-processor case, so the outer wrapper
@@ -123,21 +122,19 @@ impl Machine {
             st: MState::Idle,
             scratch: Vec::new(),
             bulk,
-            n_recvs: 0,
-            n_blocked: 0,
         }
     }
 
     /// Advance this machine by one scheduler entry: finish an owed reply
     /// or a bulk chunk, else consume the next descriptor. Mirrors exactly
-    /// one `Proc`-method mutex acquisition of the classic interpreter.
+    /// one `Proc`-method mutex acquisition of the classic engine.
     fn step(&mut self, inner: &mut Inner, pid: usize) -> Action {
         match std::mem::replace(&mut self.st, MState::Idle) {
             MState::Idle => {}
             MState::OweReply(r) => {
                 // A send error means the generation thread already died
-                // (app panic being forwarded); replay just keeps draining,
-                // as the classic interpreter's ignored send result does.
+                // (app panic being forwarded); replay just keeps draining
+                // up to the `Poison` descriptor.
                 let _ = self.reply_tx.send(r);
                 return Action::Run;
             }
@@ -162,18 +159,9 @@ impl Machine {
         let d = match self.batch.next() {
             Some(d) => d,
             None => {
-                let batch = match self.rx.try_recv() {
-                    Ok(b) => b,
-                    Err(TryRecvError::Empty) => {
-                        self.n_blocked += 1;
-                        match self.rx.recv() {
-                            Ok(b) => b,
-                            Err(_) => return Action::Finished,
-                        }
-                    }
-                    Err(TryRecvError::Disconnected) => return Action::Finished,
+                let Ok(batch) = self.rx.recv() else {
+                    return Action::Finished;
                 };
-                self.n_recvs += 1;
                 self.batch = batch.into_iter();
                 match self.batch.next() {
                     Some(d) => d,
@@ -432,8 +420,8 @@ fn event_loop(inner: &mut Inner, machines: &mut [Machine], cur_cell: &std::cell:
     }
 }
 
-/// Run the fused replay engine over the claimed replay channel ends and
-/// harvest the run exactly as the classic engine would.
+/// Run the fused replay engine over the replay channel ends and harvest
+/// the run exactly as the classic engine would.
 ///
 /// # Panics
 /// Reproduces the classic engine's outer panic protocol: application
@@ -457,14 +445,6 @@ pub(crate) fn replay_fused(
     }));
     match looped {
         Ok(()) => {
-            if std::env::var_os("SIM_SHARD_DEBUG").is_some() {
-                for (pid, m) in machines.iter().enumerate() {
-                    eprintln!(
-                        "[fused] p{pid}: {} batches, {} blocked recvs",
-                        m.n_recvs, m.n_blocked
-                    );
-                }
-            }
             // Close the channels before harvesting; the generation threads
             // have all exited (their streams were drained to completion).
             drop(machines);

@@ -200,21 +200,18 @@ pub trait Platform: Send {
     /// runs, so the equivalence sweeps still hold.
     fn finalize(&mut self, _stats: &mut [ProcStats]) {}
 
-    /// The minimum virtual latency, in cycles, of any cross-processor
-    /// interaction on this platform (lock grant, barrier notification,
-    /// page fetch, remote miss, bus transfer — whichever is cheapest).
+    /// Whether runs on this platform may use the sharded generate/replay
+    /// engine ([`crate::RunConfig::with_shards`]).
     ///
-    /// Returning `Some` certifies that *every* way one simulated processor
-    /// can affect another is a protocol action priced through this trait:
-    /// the conservative lower bound the sharded engine
-    /// ([`crate::RunConfig::with_shards`]) relies on when it lets
-    /// application threads run ahead of the replayed virtual-time order —
-    /// see [`crate::shard`] for how the bound and the event-bounded
-    /// lookahead window interact. Platforms that keep hidden
-    /// zero-latency side channels must return `None` (the default), which
-    /// pins them to the classic sequential engine.
-    fn min_cross_node_latency(&self) -> Option<u64> {
-        None
+    /// Returning `true` certifies that *every* way one simulated processor
+    /// can affect another is a protocol action priced through this trait,
+    /// so application threads may run ahead of the replayed virtual-time
+    /// order inside the event-bounded lookahead window (see
+    /// [`crate::shard`]). Platforms that keep hidden side channels must
+    /// return `false` (the default), which pins them to the classic
+    /// sequential engine.
+    fn supports_replay(&self) -> bool {
+        false
     }
 }
 

@@ -77,21 +77,18 @@ pub struct RunConfig {
     /// Host parallelism for the run. `1` (the default) selects the classic
     /// sequential engine — the oracle. `n > 1` selects the pipelined
     /// generate/replay engine (see [`crate::shard`]) with up to `n`
-    /// application threads generating concurrently; the resulting
+    /// application threads generating concurrently and the fused event
+    /// loop ([`crate::fused`]) replaying their streams; the resulting
     /// [`RunStats`] are bit-identical to `shards = 1` for data-race-free
     /// programs (asserted by `tests/shard_equivalence.rs`). Platforms that
-    /// do not report a [`Platform::min_cross_node_latency`] fall back to
-    /// the classic engine. Defaults to the `SIM_SHARDS` environment
+    /// do not answer [`Platform::supports_replay`] with `true` fall back
+    /// to the classic engine. Defaults to the `SIM_SHARDS` environment
     /// variable when set.
     pub shards: usize,
-    /// Replay engine for sharded runs (`shards > 1`). `true` (the default)
-    /// selects the fused engine ([`crate::fused`]): every replay
-    /// interpreter is a stackless state machine driven by one host
-    /// thread's virtual-time event loop — no scheduler mutex, no condvar
-    /// hand-offs. `false` falls back to the classic replay side (one OS
-    /// thread per simulated processor). Both are bit-identical to the
-    /// sequential oracle; `SIM_SHARD_FUSED=0` in the environment flips the
-    /// default for A/B timing.
+    /// Kept only for source compatibility with code that assigns it: the
+    /// fused event loop is the sharded engine's only replay side, so
+    /// `true` (the default) is the one legal value and [`run`] panics on
+    /// `false`.
     pub shard_fused: bool,
     /// Descriptors per channel message in the sharded engine: the
     /// granularity at which generation threads hand operation streams to
@@ -194,7 +191,7 @@ impl RunConfig {
             edge_cap: crate::trace::DEFAULT_EDGE_CAP,
             phase_names: Vec::new(),
             shards: env_usize("SIM_SHARDS", 1, 1..=MAX_SHARDS),
-            shard_fused: env_bool("SIM_SHARD_FUSED", true),
+            shard_fused: true,
             shard_batch: env_usize(
                 "SIM_SHARD_BATCH",
                 crate::shard::DEFAULT_BATCH,
@@ -211,14 +208,6 @@ impl RunConfig {
     /// concurrently generating application threads.
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Select the replay side of the sharded engine: `true` = the fused
-    /// single-threaded event loop (default), `false` = the classic
-    /// thread-per-processor scheduler. No effect when `shards = 1`.
-    pub fn with_shard_fused(mut self, fused: bool) -> Self {
-        self.shard_fused = fused;
         self
     }
 
@@ -977,10 +966,10 @@ pub struct Proc {
     backend: Backend,
 }
 
-/// What a [`Proc`] handle is attached to: the classic scheduler (both the
-/// sequential engine and the replay half of the sharded engine), or a
-/// generation context of the sharded engine (see [`crate::shard`]), which
-/// records the operation stream instead of simulating it.
+/// What a [`Proc`] handle is attached to: the classic sequential
+/// scheduler, or a generation context of the sharded engine (see
+/// [`crate::shard`]), which records the operation stream instead of
+/// simulating it.
 enum Backend {
     Classic(Arc<Shared>),
     Gen(Box<crate::shard::GenCtx>),
@@ -1087,7 +1076,7 @@ impl Proc {
     ) -> Addr {
         if let Some(ctx) = self.gen() {
             // Round trip: bump addresses depend on allocation order, which
-            // only replay (running the classic scheduler) can decide.
+            // only replay, where the scheduler state lives, can decide.
             match ctx.roundtrip(Desc::Alloc {
                 label,
                 bytes,
@@ -1504,6 +1493,9 @@ impl Proc {
 /// Execute `body` on `cfg.nprocs` simulated processors over `platform` and
 /// return the per-processor statistics of the timed region.
 ///
+/// `cfg.shards = 1`, or a platform that does not support replay, runs the
+/// classic sequential engine; otherwise the sharded generate/replay engine.
+///
 /// The body is invoked once per processor. The conventional shape is:
 ///
 /// ```text
@@ -1513,15 +1505,23 @@ impl Proc {
 /// ... parallel computation ...
 /// p.barrier(FINAL_BARRIER);
 /// ```
+///
+/// # Panics
+/// If `cfg.shard_fused` is `false`, besides any panic of the simulated
+/// program (re-raised as `simulated processor panicked: ...`).
 pub fn run<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
-    // The sharded engine requires the platform to certify (via the
-    // min-cross-node-latency hook) that all cross-processor interactions
-    // are mediated by replayed protocol actions; platforms that do not
-    // fall back to the classic engine.
-    if cfg.shards > 1 && platform.min_cross_node_latency().is_some() {
+    assert!(
+        cfg.shard_fused,
+        "RunConfig::shard_fused = false is no longer supported: \
+         the fused event loop is the sharded engine's only replay side"
+    );
+    // The sharded engine requires the platform to certify that all
+    // cross-processor interactions are mediated by replayed protocol
+    // actions; platforms that do not fall back to the classic engine.
+    if cfg.shards > 1 && platform.supports_replay() {
         run_sharded(platform, cfg, body)
     } else {
         run_classic(platform, cfg, body)
@@ -1599,8 +1599,8 @@ pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
 }
 
 /// The classic engine: one OS thread per simulated processor, exactly one
-/// running at a time, every simulated event priced inline. Both the
-/// `shards = 1` oracle and the replay half of the sharded engine.
+/// running at a time, every simulated event priced inline. The `shards = 1`
+/// oracle every other engine is differentially tested against.
 fn run_classic<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
@@ -1686,21 +1686,18 @@ where
 
 /// The sharded engine: the application bodies run concurrently on
 /// generation threads (at most `cfg.shards` executing at once) against the
-/// host-side value plane, streaming operation descriptors to the
-/// *unmodified* classic engine, whose per-processor bodies are interpreters
-/// re-issuing the identical `Proc` calls. Statistics are therefore
-/// bit-identical to `shards = 1` for data-race-free programs — see
-/// [`crate::shard`] for the full argument and `tests/shard_equivalence.rs`
-/// for the proof harness.
+/// host-side value plane, streaming operation descriptors to the fused
+/// replay loop, whose per-processor state machines drive the same
+/// `Inner::op_*` transitions the classic engine's `Proc` calls do.
+/// Statistics are therefore bit-identical to `shards = 1` for
+/// data-race-free programs — see [`crate::shard`] for the full argument
+/// and `tests/shard_equivalence.rs` for the proof harness.
 fn run_sharded<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
     use crate::shard::{Gate, GenCtx, ShardAbort, ValuePlane, CHANNEL_BATCHES};
-    use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
-
-    /// The interpreter-side halves of one processor's channel pair.
-    type ReplayEnd = (Receiver<Vec<Desc>>, Sender<Reply>);
+    use std::sync::mpsc::{channel, sync_channel};
 
     let nprocs = cfg.nprocs;
     let bulk = cfg.bulk;
@@ -1710,21 +1707,19 @@ where
     let gate = Arc::new(Gate::new(cfg.shards));
 
     // Per-processor descriptor and reply channels. The generation ends are
-    // moved into the generation threads; the replay ends sit in mutexed
-    // slots the interpreter bodies claim by pid (channel halves are `Send`
-    // but not `Sync`).
+    // moved into the generation threads, the replay ends into the fused
+    // event loop.
     let mut gen_ends = Vec::with_capacity(nprocs);
-    let mut replay_ends: Vec<Mutex<Option<ReplayEnd>>> = Vec::with_capacity(nprocs);
+    let mut replay_ends = Vec::with_capacity(nprocs);
     for _ in 0..nprocs {
         let (desc_tx, desc_rx) = sync_channel::<Vec<Desc>>(CHANNEL_BATCHES);
         let (reply_tx, reply_rx) = channel::<Reply>();
-        gen_ends.push(Some((desc_tx, reply_rx)));
-        replay_ends.push(Mutex::new(Some((desc_rx, reply_tx))));
+        gen_ends.push((desc_tx, reply_rx));
+        replay_ends.push((desc_rx, reply_tx));
     }
 
-    let result = std::thread::scope(|s| {
-        for (pid, end) in gen_ends.iter_mut().enumerate() {
-            let (tx, reply_rx) = end.take().expect("generation end claimed once");
+    std::thread::scope(|s| {
+        for (pid, (tx, reply_rx)) in gen_ends.into_iter().enumerate() {
             let plane = Arc::clone(&plane);
             let gate = Arc::clone(&gate);
             let body = &body;
@@ -1760,8 +1755,7 @@ where
                                 return;
                             }
                             // A real application panic: forward it so replay
-                            // re-raises it through the classic poison
-                            // protocol, producing the same outer panic a
+                            // re-raises it, producing the same outer panic a
                             // non-sharded run would.
                             let msg = payload
                                 .downcast_ref::<String>()
@@ -1778,129 +1772,12 @@ where
                 .expect("spawn generation thread");
         }
 
-        let slots = &replay_ends;
-        let out = if cfg.shard_fused {
-            // The fused replay engine: all interpreter state machines run in
-            // THIS thread's virtual-time event loop (see [`crate::fused`]).
-            // Claim every replay end upfront; on unwind the machines drop
-            // their channel halves, aborting the generation threads before
-            // the scope joins them.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let ends: Vec<ReplayEnd> = slots
-                    .iter()
-                    .map(|s| {
-                        s.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .take()
-                            .expect("replay end claimed once")
-                    })
-                    .collect();
-                crate::fused::replay_fused(platform, &cfg, ends)
-            }))
-        } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_classic(platform, cfg, move |p: &mut Proc| {
-                    let (rx, reply_tx) = slots[p.pid()]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .expect("interpreter body entered twice");
-                    let mut scratch: Vec<u64> = Vec::new();
-                    let (mut n_recvs, mut n_blocked) = (0u64, 0u64);
-                    loop {
-                        let batch = match rx.try_recv() {
-                            Ok(b) => b,
-                            Err(std::sync::mpsc::TryRecvError::Empty) => {
-                                n_blocked += 1;
-                                match rx.recv() {
-                                    Ok(b) => b,
-                                    Err(_) => break,
-                                }
-                            }
-                            Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-                        };
-                        n_recvs += 1;
-                        for d in batch {
-                            match d {
-                                Desc::Work(c) => p.work(c),
-                                Desc::WorkFused { per_elem, count } => {
-                                    p.work_fused(per_elem, count)
-                                }
-                                Desc::SetPhase(ph) => p.set_phase(ph),
-                                Desc::Alloc {
-                                    label,
-                                    bytes,
-                                    align,
-                                    placement,
-                                } => {
-                                    let a = p.alloc_shared_labeled(label, bytes, align, placement);
-                                    let _ = reply_tx.send(Reply::Addr(a));
-                                }
-                                Desc::Load { addr, len } => {
-                                    p.load(addr, len);
-                                }
-                                Desc::Store { addr, len, val } => p.store(addr, len, val),
-                                Desc::LoadSlice {
-                                    addr,
-                                    stride,
-                                    len,
-                                    n,
-                                } => {
-                                    scratch.resize(n, 0);
-                                    p.load_slice(addr, stride, len, &mut scratch[..n]);
-                                }
-                                Desc::StoreSlice {
-                                    addr,
-                                    stride,
-                                    len,
-                                    vals,
-                                } => p.store_slice(addr, stride, len, &vals),
-                                Desc::Lock(id) => {
-                                    p.lock(id);
-                                    let _ = reply_tx.send(Reply::Sync);
-                                }
-                                Desc::Unlock(id) => p.unlock(id),
-                                Desc::Barrier(id) => {
-                                    p.barrier(id);
-                                    let _ = reply_tx.send(Reply::Sync);
-                                }
-                                Desc::StartTiming => {
-                                    p.start_timing();
-                                    let _ = reply_tx.send(Reply::Sync);
-                                }
-                                Desc::StopTiming => {
-                                    p.stop_timing();
-                                    let _ = reply_tx.send(Reply::Sync);
-                                }
-                                Desc::MetricEvent(name, n) => p.metric_add(name, n),
-                                Desc::Poison(msg) => panic!("{msg}"),
-                            }
-                        }
-                    }
-                    if std::env::var_os("SIM_SHARD_DEBUG").is_some() {
-                        eprintln!(
-                            "[shard] p{}: {} batches, {} blocked recvs",
-                            p.pid(),
-                            n_recvs,
-                            n_blocked
-                        );
-                    }
-                })
-            }))
-        };
-        // Drop any unclaimed replay ends (a poisoned run can kill a
-        // processor before its interpreter starts) so every generation
-        // thread's sends and reply-waits error out and it aborts — the
-        // scope is about to join them.
-        for slot in slots.iter() {
-            slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-        }
-        out
-    });
-    match result {
-        Ok(out) => out,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+        // The fused replay engine: all interpreter state machines run in
+        // THIS thread's virtual-time event loop (see [`crate::fused`]). On
+        // unwind the machines drop their channel halves, aborting the
+        // generation threads before the scope joins them and re-raises.
+        crate::fused::replay_fused(platform, &cfg, replay_ends)
+    })
 }
 
 #[cfg(test)]
@@ -2116,12 +1993,12 @@ mod tests {
             parse_env_usize("SIM_SHARD_BATCH", "1048576", 1..=MAX_SHARD_BATCH),
             MAX_SHARD_BATCH
         );
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "1"));
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "TRUE"));
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "on"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "0"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "off"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "False"));
+        assert!(parse_env_bool("SIM_SHARING", "1"));
+        assert!(parse_env_bool("SIM_SHARING", "TRUE"));
+        assert!(parse_env_bool("SIM_SHARING", "on"));
+        assert!(!parse_env_bool("SIM_SHARING", "0"));
+        assert!(!parse_env_bool("SIM_SHARING", "off"));
+        assert!(!parse_env_bool("SIM_SHARING", "False"));
     }
 
     #[test]
@@ -2180,8 +2057,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SIM_SHARD_FUSED=\"maybe\" is not a boolean")]
+    #[should_panic(expected = "SIM_SHARING=\"maybe\" is not a boolean")]
     fn env_parse_rejects_non_boolean() {
-        parse_env_bool("SIM_SHARD_FUSED", "maybe");
+        parse_env_bool("SIM_SHARING", "maybe");
     }
 }

@@ -20,14 +20,16 @@
 //!   against a process-wide [`ValuePlane`] (the flat values of simulated
 //!   memory) and emits its sequence of simulated operations as a
 //!   descriptor stream ([`Desc`]);
-//! * the **replay** engine — the unmodified classic scheduler — consumes
-//!   the streams, one interpreter per processor, re-issuing exactly the
-//!   same `Proc` calls the application would have made, in exactly the
-//!   order the classic engine would have chosen.
+//! * the **replay** engine — the fused event loop ([`crate::fused`]) —
+//!   consumes the streams, one stackless state machine per processor,
+//!   driving the same `Inner::op_*` state transitions the application's
+//!   `Proc` calls drive in the classic engine, in exactly the order the
+//!   classic engine would have chosen.
 //!
 //! All virtual time, statistics, resource arbitration, tracing, race
-//! detection and protocol state live in replay, which is the classic
-//! engine; the statistics are therefore a pure function of the streams.
+//! detection and protocol state live in replay, which shares every state
+//! transition with the classic engine; the statistics are therefore a
+//! pure function of the streams.
 //! The streams themselves are deterministic for data-race-free programs:
 //! every value a generation thread reads from the [`ValuePlane`] is fixed
 //! by the happens-before order that the round-trip synchronization
@@ -41,7 +43,7 @@
 //! interpreter by at most the descriptor-channel capacity, and blocks at
 //! every cross-processor interaction (which each platform certifies is
 //! mediated by the replayed protocol — see
-//! [`Platform::min_cross_node_latency`](crate::Platform::min_cross_node_latency)).
+//! [`Platform::supports_replay`](crate::Platform::supports_replay)).
 
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -119,8 +121,8 @@ pub(crate) enum Desc {
     /// to builds that predate it.
     MetricEvent(&'static str, u64),
     /// The application body panicked in generation; replay re-raises the
-    /// message so the classic poison protocol unwinds the run exactly as a
-    /// direct panic would have.
+    /// message so the run unwinds exactly as a direct panic would have on
+    /// the classic engine.
     Poison(String),
 }
 

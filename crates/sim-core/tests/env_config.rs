@@ -14,9 +14,8 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 6] = [
+const VARS: [&str; 5] = [
     "SIM_SHARDS",
-    "SIM_SHARD_FUSED",
     "SIM_SHARD_BATCH",
     "SIM_SHARING",
     "SIM_TRACE",
@@ -63,7 +62,6 @@ fn unset_variables_use_defaults() {
     with_env(&[], || {
         let cfg = RunConfig::new(4);
         assert_eq!(cfg.shards, 1);
-        assert!(cfg.shard_fused);
         assert!((1..=MAX_SHARD_BATCH).contains(&cfg.shard_batch));
         assert!(!cfg.sharing_profile);
         assert!(!cfg.trace);
@@ -73,19 +71,11 @@ fn unset_variables_use_defaults() {
 
 #[test]
 fn well_formed_values_take_effect() {
-    with_env(
-        &[
-            ("SIM_SHARDS", "4"),
-            ("SIM_SHARD_FUSED", "0"),
-            ("SIM_SHARD_BATCH", "128"),
-        ],
-        || {
-            let cfg = RunConfig::new(4);
-            assert_eq!(cfg.shards, 4);
-            assert!(!cfg.shard_fused);
-            assert_eq!(cfg.shard_batch, 128);
-        },
-    );
+    with_env(&[("SIM_SHARDS", "4"), ("SIM_SHARD_BATCH", "128")], || {
+        let cfg = RunConfig::new(4);
+        assert_eq!(cfg.shards, 4);
+        assert_eq!(cfg.shard_batch, 128);
+    });
 }
 
 #[test]
@@ -151,21 +141,6 @@ fn malformed_shards_panics_naming_variable_and_value() {
 }
 
 #[test]
-fn malformed_fused_panics_naming_variable_and_value() {
-    for bad in ["", "2", "yes please", "fused"] {
-        let msg = with_env(&[("SIM_SHARD_FUSED", bad)], || {
-            panic_message(|| {
-                let _ = RunConfig::new(4);
-            })
-        });
-        assert!(
-            msg.contains("SIM_SHARD_FUSED") && msg.contains(bad),
-            "SIM_SHARD_FUSED={bad:?}: unhelpful panic message {msg:?}"
-        );
-    }
-}
-
-#[test]
 fn malformed_batch_panics_naming_variable_and_value() {
     for bad in ["", "lots", "0", "1048577"] {
         let msg = with_env(&[("SIM_SHARD_BATCH", bad)], || {
@@ -215,9 +190,6 @@ fn boolean_spellings_are_case_insensitive() {
         ("off", false),
         ("no", false),
     ] {
-        with_env(&[("SIM_SHARD_FUSED", raw)], || {
-            assert_eq!(RunConfig::new(4).shard_fused, want, "raw = {raw:?}");
-        });
         with_env(&[("SIM_SHARING", raw), ("SIM_TRACE", raw)], || {
             let cfg = RunConfig::new(4);
             assert_eq!(cfg.sharing_profile, want, "SIM_SHARING = {raw:?}");

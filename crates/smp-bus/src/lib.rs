@@ -246,10 +246,8 @@ impl Platform for SmpPlatform {
         self.cfg.nprocs
     }
 
-    fn min_cross_node_latency(&self) -> Option<u64> {
-        // Processors interact only through bus transactions: the cheapest
-        // is an arbitration plus an address-only (upgrade/lock) cycle.
-        Some(self.cfg.bus_arb + self.cfg.bus_addr)
+    fn supports_replay(&self) -> bool {
+        true
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {

@@ -543,15 +543,8 @@ impl Platform for SvmPlatform {
         self.cfg.nprocs
     }
 
-    fn min_cross_node_latency(&self) -> Option<u64> {
-        // Every cross-processor interaction is a protocol message: at
-        // cheapest an intra-node handoff when nodes host several
-        // processors, otherwise a wire crossing.
-        Some(if self.cfg.procs_per_node > 1 {
-            self.cfg.intra_node_cost.min(self.cfg.wire_latency)
-        } else {
-            self.cfg.wire_latency
-        })
+    fn supports_replay(&self) -> bool {
+        true
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {

@@ -6,15 +6,15 @@
 //! count, with every diagnostic layer enabled, and across randomized
 //! platform/scheduler configuration points.
 //!
-//! The argument for *why* this holds (the replay side *is* the classic
-//! engine, consuming operation streams that are deterministic for
-//! data-race-free programs) lives in `sim_core::shard`; this file is the
-//! evidence.
+//! The argument for *why* this holds (the replay side drives the classic
+//! engine's own state transitions, consuming operation streams that are
+//! deterministic for data-race-free programs) lives in `sim_core::shard`;
+//! this file is the evidence.
 
 use apps::{App, AppSpec, OptClass};
 use sim_core::critpath::analyze;
 use sim_core::util::XorShift64;
-use sim_core::{run, Placement, RunConfig, RunStats, HEAP_BASE};
+use sim_core::{run, NullPlatform, Placement, RunConfig, RunStats, HEAP_BASE};
 use svm_hlrc::{SvmConfig, SvmPlatform};
 use svm_restructure::prelude::*;
 
@@ -189,37 +189,26 @@ fn stress_body(seed: u64, words: u64, iters: u64) -> impl Fn(&mut sim_core::Proc
     }
 }
 
-/// The fused (single-thread event-loop) and classic (thread-per-processor)
-/// replay engines, explicitly selected, against the sequential oracle with
-/// every diagnostic layer stacked: the engines must be mutually — and
-/// oracle- — bit-identical on every platform.
+/// The fused (single-thread event-loop) replay engine against the
+/// sequential oracle with every diagnostic layer stacked: bit-identical on
+/// every platform.
 #[test]
-fn fused_and_classic_replay_engines_are_bit_identical() {
-    let instrumented = |shards: usize, fused: bool| {
+fn fused_replay_is_bit_identical_to_the_oracle() {
+    let instrumented = |shards: usize| {
         RunConfig::new(4)
             .with_shards(shards)
-            .with_shard_fused(fused)
             .with_race_detection()
             .with_sharing_profile()
             .with_trace()
     };
     for pf in PLATFORMS {
         for (app, class) in [(App::Lu, OptClass::Algorithm), (App::Radix, OptClass::Orig)] {
-            let oracle = cell(app, class, pf, instrumented(1, true));
-            let fused = cell(app, class, pf, instrumented(4, true));
-            let classic = cell(app, class, pf, instrumented(4, false));
+            let oracle = cell(app, class, pf, instrumented(1));
+            let fused = cell(app, class, pf, instrumented(4));
             assert_eq!(
                 oracle,
                 fused,
                 "{}/{} on {}: fused replay diverged from the oracle",
-                app.name(),
-                class.label(),
-                pf.name()
-            );
-            assert_eq!(
-                oracle,
-                classic,
-                "{}/{} on {}: classic sharded replay diverged from the oracle",
                 app.name(),
                 class.label(),
                 pf.name()
@@ -230,15 +219,12 @@ fn fused_and_classic_replay_engines_are_bit_identical() {
 
 /// The descriptor batch size is a pure channel-granularity knob: sweeping
 /// it from degenerate (1 descriptor per message) through large must be
-/// invisible in the statistics, under both replay engines.
+/// invisible in the statistics.
 #[test]
 fn shard_batch_size_is_invisible() {
     let body = stress_body(0xBA7C4, 256, 2);
-    let build = |batch: Option<usize>, fused: bool| {
-        let mut c = RunConfig::new(4)
-            .with_shards(4)
-            .with_shard_fused(fused)
-            .with_trace();
+    let build = |batch: Option<usize>| {
+        let mut c = RunConfig::new(4).with_shards(4).with_trace();
         if let Some(b) = batch {
             c = c.with_shard_batch(b);
         }
@@ -250,17 +236,11 @@ fn shard_batch_size_is_invisible() {
         &body,
     );
     for batch in [None, Some(1), Some(7), Some(512), Some(16384)] {
-        for fused in [true, false] {
-            let sharded = run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                build(batch, fused),
-                &body,
-            );
-            assert_eq!(
-                oracle, sharded,
-                "batch={batch:?} fused={fused}: batch size leaked into the statistics"
-            );
-        }
+        let sharded = run(SvmPlatform::boxed(SvmConfig::paper(4)), build(batch), &body);
+        assert_eq!(
+            oracle, sharded,
+            "batch={batch:?}: batch size leaked into the statistics"
+        );
     }
 }
 
@@ -285,40 +265,38 @@ fn zero_shard_batch_is_rejected() {
 /// message format.
 #[test]
 fn app_panic_mid_phase_unwinds_cleanly_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                RunConfig::new(4).with_shards(2).with_shard_fused(fused),
-                |p| {
-                    p.barrier(0);
-                    p.start_timing();
-                    p.work(500);
-                    p.barrier(1);
-                    if p.pid() == 2 {
-                        panic!("injected failure in phase");
-                    }
-                    // The survivors head for a barrier the panicked
-                    // processor will never reach.
-                    p.barrier(2);
-                    p.stop_timing();
-                },
-            )
-        });
-        let payload = result.expect_err("the simulated panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated processor panicked") && msg.contains("injected failure"),
-            "fused={fused}: unexpected panic message: {msg}"
-        );
-        assert!(
-            msg.contains("p2"),
-            "fused={fused}: panic not attributed to the failing processor: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(4)),
+            RunConfig::new(4).with_shards(2),
+            |p| {
+                p.barrier(0);
+                p.start_timing();
+                p.work(500);
+                p.barrier(1);
+                if p.pid() == 2 {
+                    panic!("injected failure in phase");
+                }
+                // The survivors head for a barrier the panicked
+                // processor will never reach.
+                p.barrier(2);
+                p.stop_timing();
+            },
+        )
+    });
+    let payload = result.expect_err("the simulated panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated processor panicked") && msg.contains("injected failure"),
+        "unexpected panic message: {msg}"
+    );
+    assert!(
+        msg.contains("p2"),
+        "panic not attributed to the failing processor: {msg}"
+    );
 }
 
 /// A simulated deadlock (lock held by a finished processor) under the
@@ -326,34 +304,32 @@ fn app_panic_mid_phase_unwinds_cleanly_under_fused_replay() {
 /// generation threads released.
 #[test]
 fn deadlock_is_detected_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(2)),
-                RunConfig::new(2).with_shards(2).with_shard_fused(fused),
-                |p| {
-                    p.barrier(0);
-                    p.start_timing(); // clocks live: the order below is forced
-                    if p.pid() == 0 {
-                        p.lock(1); // acquired at clock 0, never unlocked
-                    } else {
-                        p.work(10_000); // guarantees p0 wins the lock race
-                        p.lock(1); // waits forever: the holder is done
-                        p.unlock(1);
-                    }
-                },
-            )
-        });
-        let payload = result.expect_err("the deadlock must be detected");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated deadlock: no runnable processor"),
-            "fused={fused}: unexpected deadlock message: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(2)),
+            RunConfig::new(2).with_shards(2),
+            |p| {
+                p.barrier(0);
+                p.start_timing(); // clocks live: the order below is forced
+                if p.pid() == 0 {
+                    p.lock(1); // acquired at clock 0, never unlocked
+                } else {
+                    p.work(10_000); // guarantees p0 wins the lock race
+                    p.lock(1); // waits forever: the holder is done
+                    p.unlock(1);
+                }
+            },
+        )
+    });
+    let payload = result.expect_err("the deadlock must be detected");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated deadlock: no runnable processor"),
+        "unexpected deadlock message: {msg}"
+    );
 }
 
 /// A panic before the application emits a single descriptor (early drop of
@@ -361,34 +337,79 @@ fn deadlock_is_detected_under_fused_replay() {
 /// unwind without stranding the other generation threads mid-stream.
 #[test]
 fn immediate_panic_unwinds_cleanly_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                RunConfig::new(4).with_shards(4).with_shard_fused(fused),
-                |p| {
-                    if p.pid() == 0 {
-                        panic!("failed before first op");
-                    }
-                    // The other generators keep streaming large batches so
-                    // the unwind races live channel traffic.
-                    for i in 0..50_000u64 {
-                        p.store(HEAP_BASE + (i % 512) * 8, 8, i);
-                    }
-                    p.barrier(0);
-                },
-            )
-        });
-        let payload = result.expect_err("the simulated panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated processor panicked") && msg.contains("failed before first op"),
-            "fused={fused}: unexpected panic message: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(4)),
+            RunConfig::new(4).with_shards(4),
+            |p| {
+                if p.pid() == 0 {
+                    panic!("failed before first op");
+                }
+                // The other generators keep streaming large batches so
+                // the unwind races live channel traffic.
+                for i in 0..50_000u64 {
+                    p.store(HEAP_BASE + (i % 512) * 8, 8, i);
+                }
+                p.barrier(0);
+            },
+        )
+    });
+    let payload = result.expect_err("the simulated panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated processor panicked") && msg.contains("failed before first op"),
+        "unexpected panic message: {msg}"
+    );
+}
+
+// ---- engine selection ----
+
+/// A platform that does not support replay (here `NullPlatform`) runs a
+/// `with_shards(4)` configuration on the sequential engine — the only one
+/// that can answer `Proc::now`, which returns the virtual clock.
+#[test]
+fn unsupported_platform_falls_back_to_the_sequential_engine() {
+    let seen = std::sync::Mutex::new(vec![0u64; 4]);
+    let stats = run(
+        Box::new(NullPlatform::new(4)),
+        RunConfig::new(4).with_shards(4),
+        |p| {
+            p.start_timing();
+            p.work(100 * (p.pid() as u64 + 1));
+            seen.lock().unwrap()[p.pid()] = p.now();
+        },
+    );
+    let seen = seen.into_inner().unwrap();
+    assert_eq!(seen, vec![100, 200, 300, 400]);
+    assert_eq!(seen, stats.clocks);
+}
+
+/// On a replay-capable platform the same call fails fast: under the
+/// sharded engine virtual time exists only on the replay side.
+#[test]
+#[should_panic(expected = "not available under the sharded engine")]
+fn proc_now_panics_under_the_sharded_engine() {
+    run(
+        SvmPlatform::boxed(SvmConfig::paper(2)),
+        RunConfig::new(2).with_shards(2),
+        |p| {
+            p.start_timing();
+            let _ = p.now();
+        },
+    );
+}
+
+/// `shard_fused` is kept only for source compatibility: `true` is its one
+/// legal value, and `run` rejects `false` with a message naming the field.
+#[test]
+#[should_panic(expected = "RunConfig::shard_fused = false")]
+fn shard_fused_false_is_rejected() {
+    let mut cfg = RunConfig::new(2).with_shards(2);
+    cfg.shard_fused = false;
+    run(SvmPlatform::boxed(SvmConfig::paper(2)), cfg, |_| {});
 }
 
 /// Seeded randomized sweep over platform and scheduler configuration
